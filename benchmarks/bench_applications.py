@@ -9,7 +9,7 @@ from conftest import run_once
 from repro.configs.catalog import build_processor
 from repro.core.bitops import build_bitops_extension, run_crc32
 from repro.cpu import CoreConfig, Processor
-from repro.db import Eq, QueryExecutor, Range, Table
+from repro.db import ColumnarTable, Eq, QueryExecutor, Range
 from repro.experiments import iso_area
 
 
@@ -17,7 +17,7 @@ from repro.experiments import iso_area
 def orders_table():
     rng = random.Random(99)
     n = 3000
-    table = Table("orders", {
+    table = ColumnarTable("orders", {
         "status": [rng.randrange(4) for _ in range(n)],
         "region": [rng.randrange(8) for _ in range(n)],
         "priority": [rng.randrange(10) for _ in range(n)],

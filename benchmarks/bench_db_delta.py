@@ -9,8 +9,9 @@ index from scratch after each batch.  Both paths must end in the same
 state (the benchmark asserts RID-for-RID and value-for-value parity);
 what incrementality buys is wall-clock, gated at
 :data:`MIN_DELTA_SPEEDUP`.  A second gate covers the one-off index
-*build*: the argsort build of a columnar index against the
-row-oriented ``SecondaryIndex`` build at the same size.
+*build*: the argsort build of a columnar table and its indexes against
+a pure-Python row-oriented build at the same size
+(:func:`_row_index_build`).
 
 When ``BENCH_REPORT_DIR`` is set the summary is written to
 ``BENCH_db_delta.json`` (consumed by the CI ``delta`` gate and
@@ -23,10 +24,8 @@ import time
 
 import pytest
 
-pytest.importorskip("numpy")
-
+from repro.core.common import SENTINEL
 from repro.db.columnar import ColumnarTable, DeltaBatch
-from repro.db.table import Table
 from repro.workloads.sets import generate_delta_stream
 
 #: The CI gates: update-stream and index-build speedups.
@@ -54,6 +53,35 @@ def _build_columnar(columns, rids=None):
     return table
 
 
+def _row_index_build(columns):
+    """The index-build baseline: a pure-Python row-oriented build.
+
+    Per column: copy and validate the values, sort the ``(value,
+    rid)`` pairs, then record the distinct keys and each key's offset
+    into the RID array — a clustered postings layout answered by
+    bisect over the keys.
+    """
+    indexes = {}
+    for name, values in columns.items():
+        values = list(values)
+        for value in values:
+            if not 0 <= value < SENTINEL:
+                raise ValueError("%s: values must be 32-bit below the "
+                                 "sentinel" % name)
+        pairs = sorted((value, rid) for rid, value in enumerate(values))
+        keys = []
+        offsets = []
+        previous = None
+        for position, (value, _rid) in enumerate(pairs):
+            if value != previous:
+                keys.append(value)
+                offsets.append(position)
+                previous = value
+        offsets.append(len(pairs))
+        indexes[name] = (keys, offsets, [rid for _value, rid in pairs])
+    return indexes
+
+
 def _write_summary(payload):
     directory = os.environ.get("BENCH_REPORT_DIR")
     if not directory:
@@ -75,11 +103,11 @@ def _run_incremental(initial, batches):
 
 
 def _run_rebuild(initial, specs):
-    """The pre-columnar behaviour: every batch rebuilds everything.
+    """The baseline without delta maintenance: every batch rebuilds
+    everything.
 
     Plain-Python column lists absorb the batch, then the table and all
-    three indexes are constructed from scratch — the only way the
-    row-oriented layer could serve an update before this PR.
+    three indexes are constructed from scratch.
     """
     columns = {name: list(values) for name, values in initial.items()}
     rids = list(range(len(columns["status"])))
@@ -132,9 +160,7 @@ def test_delta_maintenance_vs_rebuild(benchmark, stream):
         if incremental_seconds else float("inf")
 
     started = time.perf_counter()
-    row_table = Table("orders", initial)
-    for name in COLUMNS:
-        row_table.create_index(name)
+    _row_index_build(initial)
     row_build_seconds = time.perf_counter() - started
     started = time.perf_counter()
     _build_columnar(initial)

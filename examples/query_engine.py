@@ -12,12 +12,13 @@ processor and the scalar DBA_1LSU core.
 import random
 
 from repro import build_processor, synthesize_config
-from repro.db import Eq, In, Query, QueryEngine, QueryExecutor, Range, Table
+from repro.db import (ColumnarTable, Eq, In, Query, QueryEngine,
+                      QueryExecutor, Range)
 
 
 def build_orders_table(rows=3000, seed=17):
     rng = random.Random(seed)
-    return Table("orders", {
+    return ColumnarTable("orders", {
         "status": [rng.randrange(4) for _ in range(rows)],
         "region": [rng.randrange(8) for _ in range(rows)],
         "priority": [rng.randrange(10) for _ in range(rows)],

@@ -230,11 +230,10 @@ def build_parser():
                                    "(default %(default)s)")
     db_chaos_cmd.add_argument("--delta-batches", type=int, default=0,
                               metavar="N",
-                              help="apply N Z-set delta batches to a "
-                                   "columnar table before the "
-                                   "campaign (0 keeps the row-"
-                                   "oriented demo table; needs "
-                                   "NumPy) (default %(default)s)")
+                              help="apply N Z-set delta batches to "
+                                   "the table before the campaign "
+                                   "(0 keeps the static demo table) "
+                                   "(default %(default)s)")
     db_chaos_cmd.add_argument("--delta-rows", type=int, default=32,
                               metavar="R",
                               help="inserted rows per delta batch "

@@ -6,8 +6,8 @@ is bounded by simulator speed rather than by the modeled hardware.
 This module removes the simulator from the serving path while keeping
 the *cycle numbers* exact:
 
-* results are computed with plain set algebra / sorting (NumPy when
-  available, C-level ``set``/``sorted`` otherwise), and
+* results are computed with plain set algebra / sorting (NumPy above
+  a small size cutover, C-level ``set``/``sorted`` below it), and
 * cycle counts are predicted from a per-(processor-config, kernel,
   unroll) linear model over *event counts* — how often each control
   path of the kernel executes for a given input.
@@ -48,15 +48,12 @@ import math
 import os
 from fractions import Fraction
 
+import numpy as _np
+
 from .common import LANES
 from .kernels import DEFAULT_UNROLL, run_merge_sort, run_set_operation
 from .scalar_kernels import (run_scalar_merge_sort,
                              run_scalar_set_operation)
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - CI images install numpy
-    _np = None
 
 #: Module-level calibration cache, shared across CostModel instances
 #: the way compiled kernels are shared across processors:
@@ -71,7 +68,7 @@ def _operand_list(values):
     everything below the public CostModel API (feature extraction,
     kernel walks, calibration probes) assumes list semantics.
     """
-    if _np is not None and isinstance(values, _np.ndarray):
+    if isinstance(values, _np.ndarray):
         return values.tolist()
     return values
 
@@ -197,7 +194,7 @@ _NUMPY_CUTOVER = 64
 
 def set_result(which, set_a, set_b):
     """The kernel's result list, computed without the processor."""
-    if _np is not None and len(set_a) + len(set_b) >= _NUMPY_CUTOVER:
+    if len(set_a) + len(set_b) >= _NUMPY_CUTOVER:
         a = _np.asarray(set_a, dtype=_np.int64)
         b = _np.asarray(set_b, dtype=_np.int64)
         if which == "intersection":
@@ -216,7 +213,7 @@ def set_result(which, set_a, set_b):
 
 
 def sort_result(values):
-    if _np is not None and len(values) >= _NUMPY_CUTOVER:
+    if len(values) >= _NUMPY_CUTOVER:
         return _np.sort(_np.asarray(values, dtype=_np.int64)).tolist()
     return sorted(values)
 
@@ -280,7 +277,7 @@ def _contains(sorted_values, value):
 
 def _common_below(set_a, count_a, set_b, count_b):
     """Distinct values present in both strictly-sorted prefixes."""
-    if _np is not None and count_a + count_b >= _NUMPY_CUTOVER:
+    if count_a + count_b >= _NUMPY_CUTOVER:
         return int(_np.intersect1d(
             _np.asarray(set_a[:count_a], dtype=_np.int64),
             _np.asarray(set_b[:count_b], dtype=_np.int64),

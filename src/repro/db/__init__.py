@@ -18,12 +18,11 @@ from .engine import (Query, QueryEngine, QueryResult, StandingQuery,
 from .executor import QueryExecutor, QueryStats, RID_BITS
 from .failover import CircuitBreaker, ShardError, rid_checksum
 from .partition import (HashPartitioner, Partitioner, RangePartitioner,
-                        TableShard, make_partitioner, partition_table,
-                        plan_replicas, shard_may_match, skew_ratio)
+                        make_partitioner, partition_table, plan_replicas,
+                        shard_may_match, skew_ratio)
 from .predicates import (And, AndNot, Eq, In, Leaf, Or, Predicate,
                          Range, leaves, signature, validate_indexes)
 from .shard import ShardedEngine, ShardedResult
-from .table import SecondaryIndex, Table
 
 __all__ = ["ColumnarIndex", "ColumnarTable", "DeltaBatch",
            "delta_mask", "signature_affected",
@@ -32,9 +31,8 @@ __all__ = ["ColumnarIndex", "ColumnarTable", "DeltaBatch",
            "QueryExecutor", "QueryStats", "RID_BITS",
            "CircuitBreaker", "ShardError", "rid_checksum",
            "HashPartitioner", "Partitioner", "RangePartitioner",
-           "TableShard", "make_partitioner", "partition_table",
+           "make_partitioner", "partition_table",
            "plan_replicas", "shard_may_match", "skew_ratio",
            "And", "AndNot", "Eq", "In", "Leaf", "Or", "Predicate",
            "Range", "leaves", "signature", "validate_indexes",
-           "ShardedEngine", "ShardedResult",
-           "SecondaryIndex", "Table"]
+           "ShardedEngine", "ShardedResult"]

@@ -16,8 +16,8 @@ import time
 from ..configs.catalog import build_processor
 from .engine import Query, QueryEngine
 from .executor import QueryExecutor
+from .columnar import ColumnarTable
 from .predicates import Eq, In, Range
-from .table import Table
 
 COLUMNS = ("status", "region", "price")
 
@@ -25,7 +25,7 @@ COLUMNS = ("status", "region", "price")
 def build_demo_table(rows=800, seed=42):
     """A deterministic three-column table with all indexes built."""
     rng = random.Random(seed)
-    table = Table("orders", {
+    table = ColumnarTable("orders", {
         "status": [rng.randrange(4) for _ in range(rows)],
         "region": [rng.randrange(8) for _ in range(rows)],
         "price": [rng.randrange(1000) for _ in range(rows)],

@@ -1,11 +1,11 @@
 """Struct-of-arrays columnar tables with Z-set delta maintenance.
 
-The row-oriented :class:`~repro.db.table.Table` rebuilds every
-secondary index from scratch whenever data changes, so the serving
-path is bottlenecked upstream of the accelerated set algebra.  This
-module adopts the Z-set/weighted-delta model (tables as multisets with
-integer weights; updates arrive as batches of +1/-1-weighted rows) over
-NumPy struct-of-arrays storage:
+This is the storage engine of :mod:`repro.db`: secondary-index scans
+over these tables produce the sorted RID lists the EIS set and sort
+instructions consume (the paper's Section 2.3 query layer).  Tables
+follow the Z-set/weighted-delta model (tables as multisets with
+integer weights; updates arrive as batches of +1/-1-weighted rows)
+over NumPy struct-of-arrays storage:
 
 * :class:`ColumnarTable` keeps each column as one ``uint32`` ndarray
   plus a parallel ``int8`` weight vector and a strictly-ascending RID
@@ -16,9 +16,8 @@ NumPy struct-of-arrays storage:
   to delete.  A delete aimed at a row inserted by the same batch
   annihilates both sides ("ghost" rows) — neither is ever observable,
   matching the Z-set addition ``+1 + -1 = 0``.
-* :class:`ColumnarIndex` is the argsort/searchsorted rebuild of
-  :class:`~repro.db.table.SecondaryIndex`: postings are ``(value,
-  rid)`` pairs in value order.  Delta batches *merge* into the
+* :class:`ColumnarIndex` keeps postings as ``(value, rid)`` pairs in
+  value order, built by one argsort.  Delta batches *merge* into the
   postings (``np.searchsorted`` positions + one ``np.insert``) instead
   of re-sorting the column; deletions are tombstone-filtered at scan
   time through the table's live-RID lookup.  Range and membership
@@ -27,31 +26,15 @@ NumPy struct-of-arrays storage:
 
 Scan results cross back into the engine as plain Python lists of
 ``int``: the EIS kernels, the calibrated cost model and the parity
-suites all speak sorted RID lists, and keeping the boundary type
-unchanged is what makes columnar results byte-identical to the
-row-oriented reference.
-
-The module imports without NumPy (the CI ``tests`` job runs the pure
-fallback paths); constructing a :class:`ColumnarTable` without NumPy
-raises a clear error.
+suites all speak sorted RID lists.
 """
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
+import numpy as _np
 
 from ..core.common import SENTINEL
 
 #: Compact once dead rows exceed this fraction of physical storage.
 DEFAULT_COMPACT_THRESHOLD = 0.5
-
-
-def _require_numpy():
-    if _np is None:
-        raise ImportError(
-            "repro.db.columnar requires numpy; install the 'dev' extra "
-            "or use the row-oriented repro.db.table.Table")
 
 
 class DeltaBatch:
@@ -117,22 +100,20 @@ class DeltaBatch:
 class ColumnarTable:
     """Struct-of-arrays table with stable RIDs and weighted rows.
 
-    Mirrors the :class:`~repro.db.table.Table` read API (``row_count``,
-    ``columns``, ``column``, ``fetch``, ``create_index`` /``index``/
-    ``has_index``) so the engine, planner lint and partitioner treat
-    both interchangeably, and adds :meth:`apply_delta` plus the
-    RID-space accessors (:meth:`all_rids`, :meth:`rid_limit`,
-    :meth:`rid_indexed_column`) the executor's packing path uses.
+    *columns* maps column names to equal-length value sequences
+    (32-bit, below the sentinel); *rids* optionally names each row's
+    RID (strictly ascending, default ``0..n-1``).  Shard sub-tables
+    and worker-process copies pass the parent's RIDs, so their scan
+    results are already in the parent's RID space.
     """
 
     def __init__(self, name, columns, rids=None,
                  compact_threshold=DEFAULT_COMPACT_THRESHOLD):
-        _require_numpy()
         self.name = name
         self._data = {}
         length = None
         for column_name, values in columns.items():
-            array = _np.asarray(list(values), dtype=_np.int64)
+            array = _np.asarray(values, dtype=_np.int64)
             if array.size and (array.min() < 0
                                or array.max() >= SENTINEL):
                 raise ValueError(
@@ -148,7 +129,7 @@ class ColumnarTable:
         if rids is None:
             self._rids = _np.arange(length, dtype=_np.int64)
         else:
-            self._rids = _np.asarray(list(rids), dtype=_np.int64)
+            self._rids = _np.array(rids, dtype=_np.int64)
             if int(self._rids.size) != length:
                 raise ValueError("rid vector length does not match "
                                  "columns in table %s" % name)
@@ -167,22 +148,20 @@ class ColumnarTable:
         self._indexes = {}
         self._memo = {}
 
-    # -- read API (Table-compatible) ---------------------------------
+    # -- read API ----------------------------------------------------
 
     @property
     def row_count(self):
         return self._live
 
     @property
-    def columns(self):
-        """Live values per column, as plain lists (compat shim)."""
-        cached = self._memo.get("columns")
-        if cached is None:
-            cached = {name: self.column(name) for name in self._data}
-            self._memo["columns"] = cached
-        return cached
+    def column_names(self):
+        """The table's column names (a set-like view, for membership
+        tests and iteration)."""
+        return self._data.keys()
 
     def column(self, name):
+        """Live values of one column, in RID order, as a plain list."""
         key = ("column", name)
         cached = self._memo.get(key)
         if cached is None:
@@ -211,6 +190,17 @@ class ColumnarTable:
             cached = (self._rids[mask], self._data[name][mask])
             self._memo[key] = cached
         return cached
+
+    def live_arrays(self):
+        """``(rids, {column: values})`` live ndarrays in RID order.
+
+        Exactly what ``ColumnarTable(name, columns, rids=rids)`` needs
+        to rebuild this table's live rows under the same RIDs — the
+        form tables are shipped to worker processes in.
+        """
+        live = self._weights > 0
+        return self._rids[live], {name: values[live] for name, values
+                                  in self._data.items()}
 
     def all_rids(self):
         """Sorted live RIDs as a plain list (the full-scan operand)."""
@@ -403,11 +393,10 @@ class ColumnarTable:
             index.rebuild()
 
     def subset(self, name, rids):
-        """New table holding *rids* (which stay the global RIDs).
+        """New table holding the live rows *rids*, under the same RIDs.
 
         Shard tables built this way share the parent's RID space, so
-        shard-local scan results are already global and partition
-        parity is positional-mapping-free.
+        their scan results need no mapping back to the parent.
         """
         rid_array = _np.asarray(list(rids), dtype=_np.int64)
         order = _np.argsort(rid_array, kind="stable")
@@ -498,27 +487,12 @@ class ColumnarIndex:
         return rids[mask].tolist()
 
     def scan_in(self, values):
-        """RIDs where column is in *values*, born RID-sorted.
-
-        Matches the row-oriented reference exactly, including its
-        duplicate-RID output when *values* itself has duplicates.
-        """
-        values = list(values)
+        """RIDs where column is in *values*, born RID-sorted (each
+        matching row once, whatever the probe multiplicity)."""
         rids, live_values = self._table._live_view(self.column_name)
-        if len(values) == len(set(values)):
-            mask = _np.isin(live_values, _np.asarray(values,
-                                                     dtype=_np.int64))
-            return rids[mask].tolist()
-        # Duplicate probe values replicate their matches (reference
-        # semantics): count multiplicity per probe value.
-        out = []
-        counts = {}
-        for value in values:
-            counts[value] = counts.get(value, 0) + 1
-        masks = _np.zeros(live_values.size, dtype=_np.int64)
-        for value, multiplicity in counts.items():
-            masks += multiplicity * (live_values == value)
-        return _np.repeat(rids, masks).tolist()
+        mask = _np.isin(live_values, _np.asarray(list(values),
+                                                 dtype=_np.int64))
+        return rids[mask].tolist()
 
     def count_eq(self, value):
         """Exact matching-row count (tombstones excluded)."""
@@ -623,3 +597,19 @@ def signature_affected(sig, touched):
     # Combinator: ("and"|"or"|"andnot", left_sig, right_sig).
     return signature_affected(sig[1], touched) \
         or signature_affected(sig[2], touched)
+
+
+def invalidate_footprint(cache, table_id, touched):
+    """Drop the entries of a ``(id(table), signature)``-keyed *cache*
+    that a delta on that table may have changed; returns the count.
+
+    The one invalidation rule of every delta-aware cache (the engine
+    scan cache and the sharded engine's per-shard WHERE caches): an
+    entry is stale exactly when its signature overlaps the delta's
+    touched-value footprint (:func:`signature_affected`).
+    """
+    stale = [key for key in cache
+             if key[0] == table_id and signature_affected(key[1], touched)]
+    for key in stale:
+        del cache[key]
+    return len(stale)

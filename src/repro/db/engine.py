@@ -34,9 +34,7 @@ from ..core.costmodel import CostModel, default_cost_model
 from ..supervisor import Task, supervise
 from ..telemetry.querytrace import QueryTracer
 from ..telemetry.registry import MetricsRegistry
-# The columnar module imports without numpy; only constructing a
-# ColumnarTable (and therefore reaching these helpers) requires it.
-from .columnar import delta_mask, signature_affected
+from .columnar import ColumnarTable, delta_mask, invalidate_footprint
 from .executor import QueryExecutor, QueryStats, _merge_stats
 from .planlint import lint_query_or_raise
 from .predicates import Combinator, Leaf, signature
@@ -196,7 +194,10 @@ class QueryEngine:
         With ``workers > 1`` the batch fans out over a supervised
         process pool (one executor per worker); caches then live per
         worker chunk, so reuse-heavy traffic profits most from the
-        in-process path.  Worker counters come back namespaced as
+        in-process path.  Every query is plan-linted in this process
+        first, so a refused query raises the same
+        :class:`~repro.db.planlint.PlanError` at any worker count.
+        Worker counters come back namespaced as
         ``db.engine.worker.<i>.*`` plus aggregated totals, so pooled
         serving no longer loses child-process telemetry.
 
@@ -263,13 +264,9 @@ class QueryEngine:
         Returns ``{"table": <table outcome>, "invalidated": n,
         "updates": [StandingUpdate, ...]}``.
         """
-        if not hasattr(table, "apply_delta"):
-            raise TypeError(
-                "table %r is not delta-capable; build a "
-                "repro.db.columnar.ColumnarTable" % (table.name,))
         outcome = table.apply_delta(batch)
-        touched = outcome["touched"]
-        invalidated = self._invalidate_scan_cache(id(table), touched)
+        invalidated = invalidate_footprint(self._scan_cache, id(table),
+                                           outcome["touched"])
         updates = []
         insert_rids = outcome["insert_rids"]
         removed_candidates = set(outcome["deleted_rids"].tolist())
@@ -292,15 +289,6 @@ class QueryEngine:
         self._scan_invalidated.add(invalidated)
         return {"table": outcome, "invalidated": invalidated,
                 "updates": updates}
-
-    def _invalidate_scan_cache(self, table_id, touched):
-        """Drop cache entries whose predicate overlaps *touched*."""
-        stale = [key for key in self._scan_cache
-                 if key[0] == table_id
-                 and signature_affected(key[1], touched)]
-        for key in stale:
-            del self._scan_cache[key]
-        return len(stale)
 
     def register_standing(self, query):
         """Register *query* for incremental maintenance.
@@ -432,6 +420,8 @@ class QueryEngine:
     # -- parallel workers -----------------------------------------------------
 
     def _execute_parallel(self, queries, workers, timeout, tracer=None):
+        for query in queries:
+            lint_query_or_raise(query, engine=self)
         chunks = [[] for _ in range(workers)]
         for index, query in enumerate(queries):
             chunks[index % workers].append((index, query))
@@ -502,18 +492,7 @@ class QueryEngine:
         for index, query in chunk:
             table = query.table
             if id(table) not in tables:
-                tables[id(table)] = {
-                    "name": table.name,
-                    "columns": {name: list(values) for name, values
-                                in table.columns.items()},
-                    "indexes": [column for column in table.columns
-                                if table.has_index(column)],
-                    # Live global RIDs, position-aligned with the
-                    # column lists: columnar tables have sparse RID
-                    # spaces, so workers serve dense local RIDs and
-                    # the results are mapped back through this.
-                    "rids": table.all_rids(),
-                }
+                tables[id(table)] = _table_spec(table)
             query_specs.append({
                 "table": id(table),
                 "predicate": query.predicate,
@@ -563,7 +542,6 @@ def _serve_worker_chunk(spec):
     (when the parent traces) its :class:`QueryTracer` payload — so
     spans and counters no longer die inside the subprocess.
     """
-    from .table import Table
     engine = QueryEngine(config=spec["config"],
                          partial_load=spec["partial_load"],
                          cost_model=CostModel()
@@ -573,12 +551,8 @@ def _serve_worker_chunk(spec):
         tracer = QueryTracer(
             label="worker %d" % spec.get("worker", 0),
             limit=spec.get("trace_limit") or 100_000)
-    tables = {}
-    for table_id, payload in spec["tables"].items():
-        table = Table(payload["name"], payload["columns"])
-        for column in payload["indexes"]:
-            table.create_index(column)
-        tables[table_id] = table
+    tables = {table_id: _table_from_spec(payload)
+              for table_id, payload in spec["tables"].items()}
     cse = {}
     payloads = []
     for query_spec in spec["queries"]:
@@ -591,15 +565,28 @@ def _serve_worker_chunk(spec):
                       limit=query_spec["limit"])
         result = engine._execute_one(query, cse, tracer,
                                      query_spec.get("index", 0))
-        # Map dense local RIDs back to the parent's (possibly sparse)
-        # global RID space; the map is ascending, so order, ties and
-        # limits are preserved exactly.
-        global_rids = spec["tables"][table_id].get("rids")
-        rids = result.rids if global_rids is None \
-            else [global_rids[rid] for rid in result.rids]
-        payloads.append((result.rows, rids, result.stats))
+        payloads.append((result.rows, result.rids, result.stats))
     return {
         "results": payloads,
         "metrics": engine.metrics_snapshot(),
         "trace": tracer.to_payload() if tracer is not None else None,
     }
+
+
+def _table_spec(table):
+    """Picklable form of a table for a worker process: its live
+    column arrays, its RID vector and its indexed columns."""
+    rids, columns = table.live_arrays()
+    return {"name": table.name, "rids": rids, "columns": columns,
+            "indexes": [column for column in table.column_names
+                        if table.has_index(column)]}
+
+
+def _table_from_spec(spec):
+    """Rebuild a :func:`_table_spec` table under the same RIDs, so a
+    worker's answers are already in the parent's RID space."""
+    table = ColumnarTable(spec["name"], spec["columns"],
+                          rids=spec["rids"])
+    for column in spec["indexes"]:
+        table.create_index(column)
+    return table

@@ -84,8 +84,8 @@ class QueryExecutor:
         self.processor = processor
         self.cost_model = cost_model
         self._has_eis = "db_eis" in processor.extension_states
-        #: (id(table), column) -> (column list, pre-shifted keys);
-        #: the identity of the column list guards against id() reuse.
+        #: (id(table), column) -> (key array, pre-shifted keys); the
+        #: identity of the key array guards against id() reuse.
         self._packed_key_cache = {}
 
     # -- WHERE ---------------------------------------------------------------
@@ -151,7 +151,7 @@ class QueryExecutor:
         Keys and RIDs are packed into single 32-bit words
         (``key << 12 | rid``) so the merge-sort instructions order
         whole rows — the standard key/pointer packing used with
-        hardware sorters.  Requires ``row_count <= 4096`` and keys
+        hardware sorters.  Requires ``rid_limit() <= 4096`` and keys
         below ``2**19`` (dictionary-encode larger domains first).
         """
         stats = QueryStats()
@@ -177,10 +177,8 @@ class QueryExecutor:
                 "ORDER BY packing supports up to %d rows; shard or "
                 "widen RID_BITS" % (1 << RID_BITS))
         shifted = self._shifted_keys(table, key_column)
-        if isinstance(shifted, list):
-            return [shifted[rid] | rid for rid in rids]
-        # ndarray path (columnar tables): since rid < 2**RID_BITS and
-        # the shifted key is a multiple of 2**RID_BITS, | equals +.
+        # rid < 2**RID_BITS and the shifted key is a multiple of
+        # 2**RID_BITS, so | equals +.
         return (shifted.take(list(rids)) + list(rids)).tolist()
 
     def sort_packed(self, packed, stats=None):
@@ -210,23 +208,15 @@ class QueryExecutor:
         cached = self._packed_key_cache.get(cache_key)
         keys = table.rid_indexed_column(key_column)
         if cached is not None and cached[0] is keys:
-            # Columnar tables memoize rid_indexed_column per version,
-            # so a delta naturally rotates this cache entry too.
+            # Tables memoize rid_indexed_column per version, so a
+            # delta naturally rotates this cache entry too.
             return cached[1]
         key_bits = 32 - RID_BITS - 1  # keep below the sentinel
-        limit = 1 << key_bits
-        if isinstance(keys, list):
-            if keys and max(keys) >= limit:
-                raise ValueError(
-                    "ORDER BY keys must be below 2**%d; dictionary-"
-                    "encode the column" % key_bits)
-            shifted = [key << RID_BITS for key in keys]
-        else:
-            if len(keys) and int(keys.max()) >= limit:
-                raise ValueError(
-                    "ORDER BY keys must be below 2**%d; dictionary-"
-                    "encode the column" % key_bits)
-            shifted = keys << RID_BITS
+        if len(keys) and int(keys.max()) >= 1 << key_bits:
+            raise ValueError(
+                "ORDER BY keys must be below 2**%d; dictionary-"
+                "encode the column" % key_bits)
+        shifted = keys << RID_BITS
         self._packed_key_cache[cache_key] = (keys, shifted)
         return shifted
 

@@ -2,9 +2,10 @@
 
 The paper's Section 5.4 iso-area discussion spends one x86 die's area
 on N small EIS cores; :mod:`repro.db.shard` makes that concrete by
-splitting a :class:`~repro.db.table.Table` into N disjoint partitions,
-one per simulated processor.  This module owns the partitioning
-policies and the partition-level reasoning the sharded engine needs:
+splitting a :class:`~repro.db.columnar.ColumnarTable` into N disjoint
+partitions, one per simulated processor.  This module owns the
+partitioning policies and the partition-level reasoning the sharded
+engine needs:
 
 * :class:`HashPartitioner` — rows scatter by a multiplicative hash of
   the RID (balanced, the uniform baseline) or of a column value
@@ -12,10 +13,10 @@ policies and the partition-level reasoning the sharded engine needs:
   distributions produce skewed shards);
 * :class:`RangePartitioner` — contiguous RID slices, or equal-depth
   value ranges over a column (classic range sharding);
-* :func:`partition_table` — materializes shard sub-tables whose rows
-  keep ascending global-RID order, so a shard's sorted *local* RID
-  list maps to a sorted *global* RID list and the gather reduce can
-  run on the EIS union/merge kernels directly;
+* :func:`partition_table` — materializes shard sub-tables that keep
+  the parent's RIDs, so a shard's sorted scan results are already
+  sorted parent RID lists and the gather reduce can run on the EIS
+  union/merge kernels directly;
 * :func:`shard_may_match` — the scatter-time pruning analysis: a
   shard whose partition provably holds no row for the query's leaves
   returns an empty RID list without dispatching any work
@@ -25,7 +26,6 @@ policies and the partition-level reasoning the sharded engine needs:
 import bisect
 
 from .predicates import And, AndNot, Eq, In, Leaf, Or, Range
-from .table import Table
 
 
 def _mix32(value):
@@ -177,87 +177,32 @@ def make_partitioner(kind, shards, column=None):
                      % (kind, ", ".join(PARTITIONER_KINDS)))
 
 
-class TableShard:
-    """One partition: a sub-table plus its local-to-global RID map.
-
-    ``global_rids[local_rid]`` is strictly ascending by construction
-    (rows are appended in global RID order), so mapping a sorted local
-    RID list yields a sorted global RID list — the operand format of
-    the EIS set instructions the gather reduce runs on.
-
-    ``global_rids`` is ``None`` for columnar shards: their sub-tables
-    keep the parent's global RIDs directly (sparse RID space), so
-    :meth:`to_global` is the identity and delta batches can replay
-    onto the shard without renumbering anything.
-    """
-
-    __slots__ = ("shard_id", "table", "global_rids")
-
-    def __init__(self, shard_id, table, global_rids):
-        self.shard_id = shard_id
-        self.table = table
-        self.global_rids = global_rids
-
-    @property
-    def row_count(self):
-        return self.table.row_count
-
-    def to_global(self, local_rids):
-        """Map shard-local RIDs to global RIDs (order-preserving)."""
-        global_rids = self.global_rids
-        if global_rids is None:
-            return list(local_rids)
-        return [global_rids[rid] for rid in local_rids]
-
-    def held_rids(self):
-        """Global RIDs this shard holds (sorted)."""
-        if self.global_rids is None:
-            return self.table.all_rids()
-        return list(self.global_rids)
-
-    def __repr__(self):
-        return "<TableShard %d: %d rows>" % (self.shard_id,
-                                             self.row_count)
-
-
 def partition_table(table, partitioner):
-    """Split *table* into ``partitioner.shards`` :class:`TableShard`\\ s.
+    """Split *table* into ``partitioner.shards`` sub-tables.
 
-    Every secondary index of the parent is rebuilt on each shard (leaf
-    scans run shard-locally), and shard row order preserves global RID
-    order so local results map back sorted.
+    Each shard is ``table.subset(...)``: a
+    :class:`~repro.db.columnar.ColumnarTable` holding its rows under
+    the parent's RIDs, with every secondary index of the parent
+    rebuilt (leaf scans run shard-locally).
     """
     assignments = partitioner.assign(table)
     if len(assignments) != table.row_count:
         raise ValueError("partitioner assigned %d rows of %d"
                          % (len(assignments), table.row_count))
     shards = partitioner.shards
-    all_rids = table.all_rids()
-    position_lists = [[] for _ in range(shards)]
-    for position, shard_id in enumerate(assignments):
+    rid_lists = [[] for _ in range(shards)]
+    for rid, shard_id in zip(table.all_rids(), assignments):
         if not 0 <= shard_id < shards:
             raise ValueError("row %d assigned to shard %r (of %d)"
-                             % (all_rids[position], shard_id, shards))
-        position_lists[shard_id].append(position)
-    indexed = [name for name in table.columns if table.has_index(name)]
-    columnar = hasattr(table, "subset")
+                             % (rid, shard_id, shards))
+        rid_lists[shard_id].append(rid)
+    indexed = [name for name in table.column_names
+               if table.has_index(name)]
     result = []
-    for shard_id, positions in enumerate(position_lists):
-        name = "%s/shard%d" % (table.name, shard_id)
-        global_rids = [all_rids[position] for position in positions]
-        if columnar:
-            # Columnar shards keep the parent's (sparse) global RID
-            # space — no local/global map to maintain under deltas.
-            shard_table = table.subset(name, global_rids)
-            shard = TableShard(shard_id, shard_table, None)
-        else:
-            columns = {col: [values[position]
-                             for position in positions]
-                       for col, values in table.columns.items()}
-            shard = TableShard(shard_id, Table(name, columns),
-                               global_rids)
-        for col in indexed:
-            shard.table.create_index(col)
+    for shard_id, rids in enumerate(rid_lists):
+        shard = table.subset("%s/shard%d" % (table.name, shard_id), rids)
+        for name in indexed:
+            shard.create_index(name)
         result.append(shard)
     return result
 
@@ -270,7 +215,7 @@ def _leaf_may_match(table, leaf):
     """Can this leaf scan return any row on *table*?
 
     Probes the secondary index without materializing RID lists
-    (:meth:`~repro.db.table.SecondaryIndex.count_eq` /
+    (:meth:`~repro.db.columnar.ColumnarIndex.count_eq` /
     ``count_range``); an unindexed column conservatively answers yes.
     """
     if not table.has_index(leaf.column):
@@ -356,11 +301,6 @@ def plan_replicas(loads, shards, replication, budget=None):
             placement[shard].append((shard + rank) % shards)
             remaining -= 1
     return placement
-
-
-def partition_sizes(shards):
-    """Row count per shard (the partition-balance vector)."""
-    return [shard.row_count for shard in shards]
 
 
 def skew_ratio(values):

@@ -75,7 +75,7 @@ def lint_query(query, engine=None, report=None):
         _check_tree(report, query.predicate, table, source)
         _check_satisfiability(report, query.predicate, source)
     if query.order_by is not None:
-        if query.order_by not in table.columns:
+        if query.order_by not in table.column_names:
             report.add("PLAN001", "error",
                        "ORDER BY column %r does not exist on table %r"
                        % (query.order_by, table.name), source)
@@ -88,7 +88,7 @@ def lint_query(query, engine=None, report=None):
                        source)
     if query.columns:
         for column in query.columns:
-            if column not in table.columns:
+            if column not in table.column_names:
                 report.add("PLAN001", "error",
                            "projected column %r does not exist on "
                            "table %r" % (column, table.name), source)
@@ -155,7 +155,7 @@ def _signature_safe(predicate):
 
 
 def _check_leaf(report, leaf, table, source):
-    if leaf.column not in table.columns:
+    if leaf.column not in table.column_names:
         report.add("PLAN001", "error",
                    "column %r does not exist on table %r"
                    % (leaf.column, table.name), source)
@@ -164,7 +164,7 @@ def _check_leaf(report, leaf, table, source):
         report.add("PLAN002", "error",
                    "column %r of table %r has no secondary index; "
                    "leaf predicates scan through one (call "
-                   "Table.create_index)" % (leaf.column, table.name),
+                   "create_index)" % (leaf.column, table.name),
                    source)
     if isinstance(leaf, Eq):
         if not 0 <= leaf.value < SENTINEL:

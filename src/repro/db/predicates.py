@@ -63,9 +63,12 @@ class Range(Leaf):
 
 
 class In(Leaf):
+    """Membership predicate.  *values* is a set: it is kept sorted and
+    duplicate-free, so each matching row is scanned once."""
+
     def __init__(self, column, values):
         super().__init__(column)
-        self.values = tuple(values)
+        self.values = tuple(sorted(set(values)))
 
     def scan(self, table):
         return table.index(self.column).scan_in(self.values)
@@ -135,4 +138,4 @@ def validate_indexes(predicate, table):
                       if not table.has_index(leaf.column)})
     if missing:
         raise KeyError("missing secondary indexes on %s; call "
-                       "Table.create_index" % ", ".join(missing))
+                       "create_index" % ", ".join(missing))

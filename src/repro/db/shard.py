@@ -24,12 +24,12 @@ serial.  Inter-shard traffic is charged to the same
 uses (``db.shard.gather.*``).
 
 Result parity with the single-engine path is structural: partitions
-are disjoint and exhaustive, each shard's local→global RID map is
-strictly ascending, so the union fold of per-shard sorted global RID
-lists is exactly the single engine's sorted WHERE result; the
-coordinator then runs the identical ORDER BY / LIMIT / fetch tail on
-the full table.  ``tests/db/test_shard.py`` enforces byte-identical
-RID output across every builtin predicate shape.
+are disjoint and exhaustive sub-tables that keep the parent's RIDs, so
+the union fold of per-shard sorted RID lists is exactly the single
+engine's sorted WHERE result; the coordinator then runs the identical
+ORDER BY / LIMIT / fetch tail on the full table.
+``tests/db/test_shard.py`` enforces byte-identical RID output across
+every builtin predicate shape.
 
 Fault tolerance (docs/SHARDING.md):
 
@@ -67,8 +67,8 @@ from ..core.costmodel import CostModel
 from ..cpu.interconnect import Interconnect
 from ..supervisor import SupervisorPool, Task
 from ..telemetry.registry import MetricsRegistry
-from .columnar import DeltaBatch, signature_affected
-from .engine import QueryEngine, QueryResult
+from .columnar import DeltaBatch, invalidate_footprint
+from .engine import QueryEngine, QueryResult, _table_from_spec, _table_spec
 from .executor import RID_BITS, QueryStats, _merge_stats
 from .failover import (BREAKER_STATES, CircuitBreaker, ShardError,
                        rid_checksum)
@@ -291,14 +291,14 @@ class ShardedEngine:
                 "failures": breaker_scope.counter("failures"),
                 "short_circuits": breaker_scope.counter("short_circuits"),
             })
-        #: id(table) -> list of TableShard; tables pinned for id()
-        #: stability, exactly like the engine's scan cache.
+        #: id(table) -> list of shard sub-tables; tables pinned for
+        #: id() stability, exactly like the engine's scan cache.
         self._partitions = {}
         self._pinned_tables = {}
         #: id(table) -> plan_replicas placement (replica hosts/shard).
         self._replica_placements = {}
         #: Cross-batch shard WHERE caches: per shard position,
-        #: (id(shard.table), predicate signature) -> global RID list.
+        #: (id(shard table), predicate signature) -> RID list.
         #: Disabled under fault injection — a cache hit would mask the
         #: very failover paths the chaos harness measures.
         self._shard_cache = [{} for _ in range(shards)]
@@ -327,7 +327,8 @@ class ShardedEngine:
     # -- partitioning ---------------------------------------------------------
 
     def shards_for(self, table):
-        """Partition (once) and return this table's shard list."""
+        """Partition (once) and return this table's shard sub-tables
+        (see :func:`~repro.db.partition.partition_table`)."""
         key = id(table)
         existing = self._partitions.get(key)
         if existing is not None:
@@ -375,7 +376,7 @@ class ShardedEngine:
         if owners is None:
             owners = {}
             for position, shard in enumerate(shards):
-                for rid in shard.held_rids():
+                for rid in shard.all_rids():
                     owners[rid] = position
             self._rid_owners[key] = owners
         applied = self.coordinator.apply_delta(table, batch)
@@ -408,33 +409,20 @@ class ShardedEngine:
                 inserts=column_lists if rid_list else None,
                 delete_rids=delete_list,
                 insert_rids=rid_list or None)
-            sub_outcome = shard.table.apply_delta(sub_batch)
-            touched = sub_outcome["touched"]
-            self._invalidate_shard_cache(position, shard.table,
-                                         touched)
+            touched = shard.apply_delta(sub_batch)["touched"]
+            stale = invalidate_footprint(self._shard_cache[position],
+                                         id(shard), touched)
+            if stale:
+                self._shard_scopes[position]["cache_invalidated"].add(
+                    stale)
             for engine in self.shard_engines:
-                engine._invalidate_scan_cache(id(shard.table),
-                                              touched)
+                invalidate_footprint(engine._scan_cache, id(shard),
+                                     touched)
             self._shard_scopes[position]["rows_held"].set(
-                shard.table.row_count)
+                shard.row_count)
         self._deltas.add(1)
         self._delta_rows.add(len(insert_rids) + len(deleted_rids))
         return applied
-
-    def _invalidate_shard_cache(self, position, shard_table, touched):
-        """Drop shard-cache entries whose predicate overlaps the
-        delta's touched values (same rule as the engine scan cache,
-        but over whole-tree signatures)."""
-        cache = self._shard_cache[position]
-        stale = [key for key in cache
-                 if key[0] == id(shard_table)
-                 and signature_affected(key[1], touched)]
-        for key in stale:
-            del cache[key]
-        if stale:
-            self._shard_scopes[position]["cache_invalidated"].add(
-                len(stale))
-        return len(stale)
 
     def register_standing(self, query):
         """Register a standing query on the coordinator engine (the
@@ -581,7 +569,7 @@ class ShardedEngine:
                 entries.append(_SKIPPED)
                 continue
             if prefetched is None \
-                    and not shard_may_match(shard.table, predicate):
+                    and not shard_may_match(shard, predicate):
                 entries.append(_SKIPPED)
                 continue
             hosts = [position] + placement[position]
@@ -593,11 +581,11 @@ class ShardedEngine:
     def _order_by_partitioned(self, table, query, entries, stats):
         """Per-shard sort of packed key/RID words + EIS union merge.
 
-        Correctness is structural: shards hold disjoint global-RID
-        sets, so the packed ``key << RID_BITS | rid`` words are
-        globally unique and the EIS union fold of per-shard sorted
-        packed lists is exactly the coordinator's serial merge sort of
-        the union — same rids, same key ties, byte-identical.
+        Correctness is structural: shards hold disjoint RID sets, so
+        the packed ``key << RID_BITS | rid`` words are globally unique
+        and the EIS union fold of per-shard sorted packed lists is
+        exactly the coordinator's serial merge sort of the union —
+        same rids, same key ties, byte-identical.
 
         Returns ``(ordered_rids, {position: sort_cycles})``; the
         per-shard sort cycles join the makespan's parallel max, only
@@ -605,7 +593,7 @@ class ShardedEngine:
         """
         if entries is None:
             shards = self.shards_for(table)
-            per_shard = [(position, shard.held_rids())
+            per_shard = [(position, shard.all_rids())
                          for position, shard in enumerate(shards)]
         else:
             per_shard = [(position, entry[1])
@@ -640,7 +628,7 @@ class ShardedEngine:
         """One shard's WHERE, behind the cross-batch shard cache.
 
         A (shard table, predicate signature) hit returns the cached
-        global RID list without dispatching to any host (modeled
+        RID list without dispatching to any host (modeled
         cycles: zero, like the engine-level scan cache).  Entries are
         installed only from checksum-verified ``ok`` serves and are
         invalidated by :meth:`apply_delta`'s touched-value footprint;
@@ -649,7 +637,7 @@ class ShardedEngine:
         """
         key = None
         if self._cache_enabled:
-            key = (id(shard.table), signature(predicate))
+            key = (id(shard), signature(predicate))
             cached = self._shard_cache[position].get(key)
             if cached is not None:
                 self._shard_scopes[position]["cache_hits"].add(1)
@@ -815,10 +803,9 @@ class ShardedEngine:
         else:
             engine = self.shard_engines[host]
             shard_cse = cse[position] if cse is not None else None
-            local, stats = engine.evaluate_predicate(
-                shard.table, predicate, cse=shard_cse, tracer=tracer,
+            rids, stats = engine.evaluate_predicate(
+                shard, predicate, cse=shard_cse, tracer=tracer,
                 index=index)
-            rids = shard.to_global(local)
             checksum = rid_checksum(rids)
         cycles = stats.cycles
         if injector is not None:
@@ -918,8 +905,8 @@ class ShardedEngine:
         One task per owning shard carries the whole batch's predicate
         list; pruning happens here in the parent (the shard tables are
         local), so skipped shards never reach the pool.  Returns
-        ``prefetched[query_index][shard]`` cells — ``(global_rids,
-        checksum, stats)`` payloads, the ``_PRUNED`` sentinel, or
+        ``prefetched[query_index][shard]`` cells — ``(rids, checksum,
+        stats)`` payloads, the ``_PRUNED`` sentinel, or
         ``_POOL_FAILED`` for cells whose worker task failed (served by
         replica failover, or degraded / raised downstream).
 
@@ -946,13 +933,12 @@ class ShardedEngine:
                 if query.predicate is None:
                     continue
                 if self._cache_enabled and (
-                        id(shard.table),
-                        signature(query.predicate)) \
+                        id(shard), signature(query.predicate)) \
                         in self._shard_cache[position]:
                     # Cached pairs skip the pool; the inline path
                     # serves them from the shard cache.
                     continue
-                if shard_may_match(shard.table, query.predicate):
+                if shard_may_match(shard, query.predicate):
                     plan.append((query_index, query.predicate))
                 else:
                     prefetched[query_index][position] = _PRUNED
@@ -963,22 +949,12 @@ class ShardedEngine:
         for position, plan in enumerate(plans):
             if not plan:
                 continue
-            shard = shards[position]
             spec = {
                 "config": self.config_name,
                 "partial_load": self.partial_load,
                 "cost_model": self.cost_model is not None,
-                "table": {
-                    "name": shard.table.name,
-                    "columns": {name: list(values) for name, values
-                                in shard.table.columns.items()},
-                    "indexes": [column for column
-                                in shard.table.columns
-                                if shard.table.has_index(column)],
-                },
-                "global_rids": shard.held_rids(),
-                "predicates": [(query_index, predicate)
-                               for query_index, predicate in plan],
+                "table": _table_spec(shards[position]),
+                "predicates": plan,
             }
             tasks.append((position,
                           Task("shard-%d" % position,
@@ -1051,28 +1027,21 @@ def _serve_shard_batch(spec):
     """Worker-process entry: one shard's WHERE work for a batch.
 
     Module-level (picklable) by supervisor contract.  Rebuilds the
-    shard table and a private engine, evaluates each predicate with
-    batch-level CSE, and returns ``(query_index, global_rids,
-    checksum, stats)`` tuples — RIDs already mapped to the global
-    space (so the parent's gather fold needs no shard state) and
-    checksummed at the sender, so corruption on the response path is
-    detected at delivery.
+    shard sub-table under its parent's RIDs (so the parent's gather
+    fold needs no shard state) and a private engine, evaluates each
+    predicate with batch-level CSE, and returns ``(query_index, rids,
+    checksum, stats)`` tuples checksummed at the sender, so corruption
+    on the response path is detected at delivery.
     """
-    from .table import Table
     engine = QueryEngine(config=spec["config"],
                          partial_load=spec["partial_load"],
                          cost_model=CostModel()
                          if spec["cost_model"] else False)
-    payload = spec["table"]
-    table = Table(payload["name"], payload["columns"])
-    for column in payload["indexes"]:
-        table.create_index(column)
-    global_rids = spec["global_rids"]
+    table = _table_from_spec(spec["table"])
     cse = {}
     results = []
     for query_index, predicate in spec["predicates"]:
-        local, stats = engine.evaluate_predicate(table, predicate,
-                                                 cse=cse)
-        rids = [global_rids[rid] for rid in local]
+        rids, stats = engine.evaluate_predicate(table, predicate,
+                                                cse=cse)
         results.append((query_index, rids, rid_checksum(rids), stats))
     return results

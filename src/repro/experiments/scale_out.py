@@ -27,11 +27,11 @@ import random
 
 from ..baselines.x86 import Q9550
 from ..db.bench import build_demo_table
+from ..db.columnar import ColumnarTable
 from ..db.engine import Query, QueryEngine
 from ..db.executor import RID_BITS
 from ..db.predicates import Eq, In, Range
 from ..db.shard import ShardedEngine
-from ..db.table import Table
 from ..synth.scaling import ManyCoreModel
 from ..synth.synthesis import synthesize_config
 from ..workloads.sets import generate_zipfian_column
@@ -46,11 +46,10 @@ ZIPF_CARDINALITY = 64
 def _zipf_table(rows, seed):
     """The demo table plus a Zipf-popular ``key`` partition column."""
     base = build_demo_table(rows=rows, seed=seed)
-    columns = {name: list(values)
-               for name, values in base.columns.items()}
+    columns = {name: base.column(name) for name in base.column_names}
     columns["key"] = generate_zipfian_column(
         rows, ZIPF_CARDINALITY, theta=ZIPF_THETA, seed=seed + 1)
-    table = Table("demo_zipf", columns)
+    table = ColumnarTable("demo_zipf", columns)
     for name in columns:
         table.create_index(name)
     return table

@@ -323,13 +323,11 @@ def run_db_campaign(shards=4, replication=1, trials=24, seed=42,
     ``"none"`` / ``None`` (no deadline — wedges classify as ``hang``),
     or an explicit modeled-cycle budget.
 
-    *delta_batches* > 0 swaps the row-oriented demo table for a
-    columnar Z-set table mutated by the shared Zipfian delta stream
+    *delta_batches* > 0 swaps the demo table for one mutated by the
+    shared Zipfian delta stream
     (``repro.workloads.sets.generate_delta_stream``) before the
     campaign: the trials then exercise failover over a sparse RID
-    space with tombstones and annihilated ghosts.  Requires NumPy; the
-    default of 0 keeps the campaign (and its report) byte-identical to
-    the row-oriented harness.
+    space with tombstones and annihilated ghosts.
     """
     from ..db.bench import build_demo_table
     from ..db.engine import QueryEngine

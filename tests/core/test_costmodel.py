@@ -211,10 +211,10 @@ class TestExecutorIntegration:
     """ISS and cost-model execution paths agree end to end."""
 
     def test_executor_paths_agree(self, eis_2lsu_partial):
-        from repro.db import And, Eq, Range, Table
+        from repro.db import And, ColumnarTable, Eq, Range
         rng = random.Random(23)
         n = 500
-        table = Table("t", {
+        table = ColumnarTable("t", {
             "k": [rng.randrange(5) for _ in range(n)],
             "v": [rng.randrange(900) for _ in range(n)],
         })

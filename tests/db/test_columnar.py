@@ -1,24 +1,25 @@
 """Columnar storage differential suite.
 
-The contract under test is ISSUE 10's acceptance bar: the columnar
-struct-of-arrays layer must be *byte-identical* to the row-oriented
-reference — same RID lists for every predicate shape, sharded and
-unsharded, under the cost model and pure ISS — while its delta path
-(incremental index merges, delta-aware scan caches, standing queries)
-stays equivalent to rebuilding everything from scratch after every
-batch, including ghost annihilation and compaction crossings.
+The contract under test: the columnar struct-of-arrays layer answers
+exactly what the brute-force row filter in :mod:`tests.db.oracle`
+answers — same RID lists and rows for every predicate shape, sharded
+and unsharded, under the cost model and pure ISS — while its delta
+path (incremental index merges, delta-aware scan caches, standing
+queries) stays equivalent to rebuilding everything from scratch after
+every batch, including ghost annihilation and compaction crossings.
 """
 
 import random
 
+import numpy as np
 import pytest
 
-np = pytest.importorskip("numpy")
-
-from repro.db import (ColumnarIndex, ColumnarTable, DeltaBatch, Eq, In,
-                      Or, Query, QueryEngine, Range, ShardedEngine,
-                      Table, delta_mask, signature, signature_affected)
+from repro.db import (ColumnarTable, DeltaBatch, Eq, In, Query,
+                      QueryEngine, Range, ShardedEngine, delta_mask,
+                      signature, signature_affected)
 from repro.workloads.sets import generate_delta_stream
+
+from . import oracle
 
 #: Column domains shared by every table in this suite.
 COLUMNS = {"status": 4, "region": 8, "price": 600}
@@ -48,10 +49,8 @@ def indexed(table):
     return table
 
 
-def build_pair(rows=400, seed=11):
-    columns = make_columns(rows, seed)
-    return (indexed(Table("orders", columns)),
-            indexed(ColumnarTable("orders", columns)))
+def build_table(rows=400, seed=11):
+    return indexed(ColumnarTable("orders", make_columns(rows, seed)))
 
 
 def rebuilt_copy(table):
@@ -99,52 +98,48 @@ class TestDeltaBatch:
 
 
 class TestIndexScanParity:
-    """ColumnarIndex answers == SecondaryIndex answers, all probes."""
+    """ColumnarIndex answers == the row oracle's answers, all probes."""
 
     @pytest.fixture(scope="class")
-    def pair(self):
-        return build_pair()
+    def table(self):
+        return build_table()
 
-    def test_scan_eq(self, pair):
-        row_table, col_table = pair
+    def test_scan_eq(self, table):
         for value in range(-1, COLUMNS["status"] + 1):
-            assert col_table.index("status").scan_eq(value) \
-                == row_table.index("status").scan_eq(value)
+            assert table.index("status").scan_eq(value) \
+                == oracle.where(table, Eq("status", value))
 
-    def test_scan_range(self, pair):
-        row_table, col_table = pair
+    def test_scan_range(self, table):
         probes = [(0, 599), (100, 400), (None, 250), (250, None),
                   (None, None), (400, 100), (598, 598)]
         for low, high in probes:
-            assert col_table.index("price").scan_range(low, high) \
-                == row_table.index("price").scan_range(low, high)
+            assert table.index("price").scan_range(low, high) \
+                == oracle.where(table, Range("price", low, high))
 
-    def test_scan_in_with_duplicate_probes(self, pair):
-        row_table, col_table = pair
+    def test_scan_in_with_duplicate_probes(self, table):
+        """Each matching row once, whatever the probe order or
+        multiplicity."""
         for probe in [(1, 3, 5), (5, 3, 1), (2, 2), (), (9, 11)]:
-            assert col_table.index("region").scan_in(probe) \
-                == row_table.index("region").scan_in(probe)
+            assert table.index("region").scan_in(probe) \
+                == oracle.where(table, In("region", probe))
 
-    def test_counts_and_distinct(self, pair):
-        row_table, col_table = pair
+    def test_counts_and_distinct(self, table):
         for value in range(COLUMNS["status"]):
-            assert col_table.index("status").count_eq(value) \
-                == row_table.index("status").count_eq(value)
-        assert col_table.index("price").count_range(100, 400) \
-            == row_table.index("price").count_range(100, 400)
-        assert col_table.index("region").distinct_values() \
-            == row_table.index("region").distinct_values()
+            assert table.index("status").count_eq(value) \
+                == len(oracle.where(table, Eq("status", value)))
+        assert table.index("price").count_range(100, 400) \
+            == len(oracle.where(table, Range("price", 100, 400)))
+        assert table.index("region").distinct_values() \
+            == sorted(set(table.column("region")))
 
-    def test_fetch_parity(self, pair):
-        row_table, col_table = pair
+    def test_fetch_parity(self, table):
         rids = [0, 5, 17, 399]
-        assert col_table.fetch(rids) == row_table.fetch(rids)
-        assert col_table.fetch([], ["price"]) == []
+        assert table.fetch(rids) == oracle.fetch(table, rids)
+        assert table.fetch([], ["price"]) == []
 
-    def test_fetch_dead_rid_raises(self, pair):
-        _row_table, col_table = pair
+    def test_fetch_dead_rid_raises(self, table):
         with pytest.raises(KeyError, match="no live row"):
-            col_table.fetch([10 ** 6])
+            table.fetch([10 ** 6])
 
 
 class TestEngineParity:
@@ -153,43 +148,45 @@ class TestEngineParity:
     @pytest.mark.parametrize("cost_model", (True, False),
                              ids=("costmodel", "iss"))
     def test_unsharded(self, eis_2lsu_partial, cost_model):
-        row_table, col_table = build_pair()
-        row_engine = QueryEngine(processor=eis_2lsu_partial,
-                                 cost_model=cost_model)
-        col_engine = QueryEngine(processor=eis_2lsu_partial,
-                                 cost_model=cost_model)
-        row_results = row_engine.execute_batch(queries_for(row_table))
-        col_results = col_engine.execute_batch(queries_for(col_table))
-        for col_result, row_result in zip(col_results, row_results):
-            assert col_result.rids == row_result.rids
-            assert col_result.rows == row_result.rows
-            assert col_result.stats.cycles == row_result.stats.cycles
+        table = build_table()
+        engine = QueryEngine(processor=eis_2lsu_partial,
+                             cost_model=cost_model)
+        iss_engine = QueryEngine(processor=eis_2lsu_partial,
+                                 cost_model=False)
+        queries = queries_for(table)
+        for query, result, iss_result in zip(
+                queries, engine.execute_batch(queries),
+                iss_engine.execute_batch(queries)):
+            assert (result.rids, result.rows) == oracle.answer(query)
+            assert result.stats.cycles == iss_result.stats.cycles
 
     @pytest.mark.parametrize("partitioner,column",
                              [("hash", None), ("hash", "status"),
                               ("range", "price")])
     def test_sharded(self, partitioner, column):
-        row_table, col_table = build_pair(rows=240, seed=23)
-        reference = QueryEngine().execute_batch(queries_for(row_table))
+        table = build_table(rows=240, seed=23)
         engine = ShardedEngine(shards=3, partitioner=partitioner,
                                partition_column=column)
-        results = engine.execute_batch(queries_for(col_table))
-        for result, expected in zip(results, reference):
-            assert result.rids == expected.rids
-            assert result.rows == expected.rows
+        queries = queries_for(table)
+        for query, result in zip(queries, engine.execute_batch(queries)):
+            assert (result.rids, result.rows) == oracle.answer(query)
 
     def test_workers_mode_on_sparse_rid_space(self, delta_stream):
-        """Worker subprocesses must serve the sparse RID space."""
+        """Worker subprocesses serve the sparse RID space itself:
+        same RIDs, rows and modeled cycles as in-process serving."""
         initial, specs = delta_stream
         table = indexed(ColumnarTable("orders", initial))
         for spec in specs[:4]:
             table.apply_delta(DeltaBatch.from_spec(spec))
         engine = QueryEngine()
-        serial = engine.execute_batch(queries_for(table))
-        parallel = engine.execute_batch(queries_for(table), workers=2)
-        for one, other in zip(parallel, serial):
+        queries = queries_for(table)
+        serial = engine.execute_batch(queries)
+        parallel = engine.execute_batch(queries, workers=2)
+        for query, one, other in zip(queries, parallel, serial):
+            assert (one.rids, one.rows) == oracle.answer(query)
             assert one.rids == other.rids
             assert one.rows == other.rows
+            assert one.stats.cycles == other.stats.cycles
 
 
 class TestDeltaEquivalence:
@@ -206,20 +203,11 @@ class TestDeltaEquivalence:
             fresh_engine = QueryEngine(processor=eis_2lsu_partial)
             results = engine.execute_batch(queries_for(table))
             expected = fresh_engine.execute_batch(queries_for(fresh))
-            for result, reference in zip(results, expected):
+            for query, result, reference in zip(queries_for(table),
+                                                results, expected):
                 assert result.rids == reference.rids
                 assert result.rows == reference.rows
-            # Row-oriented reference: position -> global RID is a
-            # monotonic map, so sorted lists correspond elementwise.
-            row_table = indexed(Table("orders", {
-                name: table.column(name) for name in COLUMNS}))
-            to_global = table.all_rids()
-            row_results = QueryEngine(
-                processor=eis_2lsu_partial).execute_batch(
-                    queries_for(row_table))
-            for result, reference in zip(results, row_results):
-                assert result.rids == [to_global[rid]
-                                       for rid in reference.rids]
+                assert (result.rids, result.rows) == oracle.answer(query)
         assert table.rid_limit() == 300 + 10 * 40
         assert table.index("price").delta_merges > 0
 
@@ -313,12 +301,6 @@ class TestScanCacheUnderDeltas:
         assert engine.metrics_snapshot()["db.engine.scan_cache.hits"] \
             == hits_before + 1
 
-    def test_row_table_is_not_delta_capable(self, eis_2lsu_partial):
-        table = indexed(Table("t", make_columns(10, 2)))
-        engine = QueryEngine(processor=eis_2lsu_partial)
-        with pytest.raises(TypeError, match="delta-capable"):
-            engine.apply_delta(table, DeltaBatch(delete_rids=[1]))
-
 
 class TestStandingQueries:
     def test_standing_tracks_full_reevaluation(self, eis_2lsu_partial,
@@ -399,11 +381,11 @@ class TestShardedDeltas:
         engine = ShardedEngine(shards=3)
         shards = engine.shards_for(table)
         held = sorted(rid for shard in shards
-                      for rid in shard.held_rids())
+                      for rid in shard.all_rids())
         assert held == table.all_rids()
         engine.apply_delta(table, DeltaBatch.from_spec(specs[0]))
         held = sorted(rid for shard in engine.shards_for(table)
-                      for rid in shard.held_rids())
+                      for rid in shard.all_rids())
         assert held == table.all_rids()
 
 

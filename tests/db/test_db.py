@@ -4,15 +4,17 @@ import random
 
 import pytest
 
-from repro.db import (And, AndNot, Eq, In, Or, QueryExecutor, Range,
-                      Table, leaves, validate_indexes)
+from repro.db import (And, AndNot, ColumnarTable, Eq, In, Or, Query,
+                      QueryExecutor, Range, leaves, validate_indexes)
+
+from . import oracle
 
 
 @pytest.fixture(scope="module")
 def table():
     rng = random.Random(11)
     n = 1200
-    table = Table("orders", {
+    table = ColumnarTable("orders", {
         "status": [rng.randrange(4) for _ in range(n)],
         "region": [rng.randrange(6) for _ in range(n)],
         "priority": [rng.randrange(10) for _ in range(n)],
@@ -23,20 +25,14 @@ def table():
     return table
 
 
-def ground_truth(table, row_predicate):
-    return sorted(rid for rid in range(table.row_count)
-                  if row_predicate({name: column[rid] for name, column
-                                    in table.columns.items()}))
-
-
 class TestTable:
     def test_column_lengths_validated(self):
         with pytest.raises(ValueError, match="lengths"):
-            Table("bad", {"a": [1, 2], "b": [1]})
+            ColumnarTable("bad", {"a": [1, 2], "b": [1]})
 
     def test_value_range_validated(self):
         with pytest.raises(ValueError, match="32-bit"):
-            Table("bad", {"a": [0xFFFFFFFF]})
+            ColumnarTable("bad", {"a": [0xFFFFFFFF]})
 
     def test_fetch_projects_columns(self, table):
         rows = table.fetch([0, 1], ["status"])
@@ -52,33 +48,42 @@ class TestTable:
 
 
 class TestSecondaryIndex:
+    """The secondary index of a column (a ``ColumnarIndex``)."""
+
     def test_eq_scan_matches_column(self, table):
         rids = table.index("status").scan_eq(2)
-        assert rids == [rid for rid in range(table.row_count)
-                        if table.columns["status"][rid] == 2]
+        assert rids == oracle.where(table, Eq("status", 2))
 
     def test_range_scan_inclusive(self, table):
         rids = table.index("priority").scan_range(3, 5)
-        expected = [rid for rid in range(table.row_count)
-                    if 3 <= table.columns["priority"][rid] <= 5]
-        assert rids == expected
+        assert rids == oracle.where(table, Range("priority", 3, 5))
 
     def test_open_ended_ranges(self, table):
         low_only = table.index("priority").scan_range(low=8)
-        assert all(table.columns["priority"][rid] >= 8
-                   for rid in low_only)
+        assert low_only == oracle.where(table, Range("priority", 8))
         high_only = table.index("priority").scan_range(high=1)
-        assert all(table.columns["priority"][rid] <= 1
-                   for rid in high_only)
+        assert high_only == oracle.where(table,
+                                         Range("priority", None, 1))
 
     def test_in_scan(self, table):
         rids = table.index("region").scan_in([0, 5])
-        assert rids == sorted(rids)
-        assert all(table.columns["region"][rid] in (0, 5)
-                   for rid in rids)
+        assert rids == oracle.where(table, In("region", (0, 5)))
 
     def test_missing_value(self, table):
         assert table.index("status").scan_eq(99) == []
+
+    def test_counts_match_scans(self, table):
+        index = table.index("priority")
+        for value in range(-1, 11):
+            assert index.count_eq(value) == len(index.scan_eq(value))
+        for low, high in ((3, 5), (None, 2), (7, None), (None, None),
+                          (6, 2)):
+            assert index.count_range(low, high) \
+                == len(index.scan_range(low, high))
+
+    def test_distinct_values(self, table):
+        assert table.index("region").distinct_values() \
+            == sorted(set(table.column("region")))
 
 
 class TestPredicates:
@@ -103,40 +108,28 @@ def executor(request):
 
 class TestWhere:
     def test_conjunction(self, table, executor):
-        rids, stats = executor.where(table,
-                                     Eq("status", 1) & Eq("region", 2))
-        expected = ground_truth(
-            table, lambda row: row["status"] == 1 and row["region"] == 2)
-        assert rids == expected
+        predicate = Eq("status", 1) & Eq("region", 2)
+        rids, stats = executor.where(table, predicate)
+        assert rids == oracle.where(table, predicate)
         assert stats.set_operations == 1
         assert stats.index_scans == 2
         assert stats.cycles > 0
 
     def test_disjunction(self, table, executor):
-        rids, _stats = executor.where(table,
-                                      Eq("status", 0) | Eq("status", 3))
-        expected = ground_truth(table,
-                                lambda row: row["status"] in (0, 3))
-        assert rids == expected
+        predicate = Eq("status", 0) | Eq("status", 3)
+        rids, _stats = executor.where(table, predicate)
+        assert rids == oracle.where(table, predicate)
 
     def test_andnot(self, table, executor):
         predicate = AndNot(Range("priority", 5, 9), Eq("region", 1))
         rids, _stats = executor.where(table, predicate)
-        expected = ground_truth(
-            table, lambda row: 5 <= row["priority"] <= 9
-            and row["region"] != 1)
-        assert rids == expected
+        assert rids == oracle.where(table, predicate)
 
     def test_nested_tree(self, table, executor):
         predicate = (Eq("status", 1) & Range("priority", 5, 9)) \
             | In("region", [2, 3])
         rids, stats = executor.where(table, predicate)
-        expected = ground_truth(
-            table,
-            lambda row: (row["status"] == 1
-                         and 5 <= row["priority"] <= 9)
-            or row["region"] in (2, 3))
-        assert rids == expected
+        assert rids == oracle.where(table, predicate)
         assert stats.set_operations == 2
 
     def test_empty_result(self, table, executor):
@@ -149,24 +142,22 @@ class TestOrderByAndSelect:
     def test_order_by_sorts_by_key(self, table, executor):
         rids, stats = executor.order_by(
             table, list(range(table.row_count)), "amount")
-        amounts = [table.columns["amount"][rid] for rid in rids]
-        assert amounts == sorted(amounts)
+        assert rids == oracle.answer(Query(table, order_by="amount"))[0]
         assert stats.sort_operations == 1
 
     def test_order_by_descending(self, table, executor):
         rids, _stats = executor.order_by(table, [0, 1, 2, 3, 4],
                                          "amount", descending=True)
-        amounts = [table.columns["amount"][rid] for rid in rids]
+        amounts = [table.column("amount")[rid] for rid in rids]
         assert amounts == sorted(amounts, reverse=True)
 
     def test_full_select(self, table, executor):
         rows, stats = executor.select(
             table, predicate=Eq("status", 2), order_by="amount",
             limit=10, columns=["amount", "status"])
-        assert len(rows) <= 10
-        amounts = [row["amount"] for row in rows]
-        assert amounts == sorted(amounts)
-        assert all(row["status"] == 2 for row in rows)
+        assert rows == oracle.answer(Query(
+            table, Eq("status", 2), order_by="amount", limit=10,
+            columns=["amount", "status"]))[1]
         assert stats.index_scans == 1
 
     def test_select_without_predicate(self, table, executor):
@@ -175,12 +166,12 @@ class TestOrderByAndSelect:
         assert len(rows) == 3
 
     def test_order_by_key_width_guard(self, executor):
-        wide = Table("wide", {"key": [1 << 20]})
+        wide = ColumnarTable("wide", {"key": [1 << 20]})
         with pytest.raises(ValueError, match="dictionary"):
             executor.order_by(wide, [0], "key")
 
     def test_order_by_row_count_guard(self, executor):
-        big = Table("big", {"key": [0] * 5000})
+        big = ColumnarTable("big", {"key": [0] * 5000})
         with pytest.raises(ValueError, match="4096"):
             executor.order_by(big, list(range(5000)), "key")
 
@@ -199,5 +190,5 @@ class TestEisScalarAgreement:
             | Eq("status", 0)
         eis_rids, eis_stats = eis.where(table, predicate)
         scalar_rids, scalar_stats = scalar.where(table, predicate)
-        assert eis_rids == scalar_rids
+        assert eis_rids == scalar_rids == oracle.where(table, predicate)
         assert eis_stats.cycles < scalar_stats.cycles  # acceleration

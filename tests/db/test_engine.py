@@ -4,15 +4,18 @@ import random
 
 import pytest
 
-from repro.db import (And, Eq, In, Or, Query, QueryEngine, Range,
-                      Table, signature)
+from repro.db import (And, ColumnarTable, DeltaBatch, Eq, In, Or, Query,
+                      QueryEngine, Range, signature)
+from repro.db.planlint import PlanError
+
+from . import oracle
 
 
 @pytest.fixture(scope="module")
 def table():
     rng = random.Random(31)
     n = 600
-    table = Table("orders", {
+    table = ColumnarTable("orders", {
         "status": [rng.randrange(4) for _ in range(n)],
         "region": [rng.randrange(6) for _ in range(n)],
         "price": [rng.randrange(800) for _ in range(n)],
@@ -42,7 +45,13 @@ class TestSignature:
         assert signature(Eq("a", 1)) != signature(Eq("a", 2))
         assert signature(And(Eq("a", 1), Eq("b", 2))) \
             != signature(Or(Eq("a", 1), Eq("b", 2)))
-        assert signature(In("a", (1, 2))) != signature(In("a", (2, 1)))
+        assert signature(In("a", (1, 2))) != signature(In("a", (1, 3)))
+
+    def test_in_values_are_a_set(self):
+        """Probe order and multiplicity do not change an IN."""
+        assert In("a", (3, 1, 3, 2)).values == (1, 2, 3)
+        assert signature(In("a", (1, 2))) == signature(In("a", (2, 1)))
+        assert signature(In("a", (1, 1))) == signature(In("a", [1]))
 
 
 class TestEngine:
@@ -64,9 +73,11 @@ class TestEngine:
                          descending=True, limit=3)]
         fast = make_engine(eis_2lsu_partial)
         slow = make_engine(eis_2lsu_partial, cost_model=False)
-        for fast_result, slow_result in zip(
-                fast.execute_batch(queries),
+        for query, fast_result, slow_result in zip(
+                queries, fast.execute_batch(queries),
                 slow.execute_batch(queries)):
+            assert (fast_result.rids, fast_result.rows) \
+                == oracle.answer(query)
             assert fast_result.rids == slow_result.rids
             assert fast_result.rows == slow_result.rows
             assert fast_result.stats.cycles == slow_result.stats.cycles
@@ -140,7 +151,7 @@ class TestEngine:
                 == serial_result.stats.cycles
 
     def test_missing_index_is_reported(self, eis_2lsu_partial):
-        bare = Table("bare", {"a": [1, 2, 3]})
+        bare = ColumnarTable("bare", {"a": [1, 2, 3]})
         engine = make_engine(eis_2lsu_partial)
         with pytest.raises(KeyError, match="secondary index"):
             engine.execute(Query(bare, Eq("a", 1)))
@@ -154,6 +165,55 @@ class TestEngine:
         assert snapshot["db.engine.queries"] == 2
         assert snapshot["db.engine.batches"] == 1
         assert snapshot["db.engine.last_batch_qps"] > 0
+
+
+class TestDuplicateInProbes:
+    """``In(c, (v, v))`` is ``Eq(c, v)``: each matching row once."""
+
+    @pytest.mark.parametrize("cost_model", (True, False),
+                             ids=("costmodel", "iss"))
+    def test_answers_equal_eq(self, eis_2lsu_partial, table,
+                              cost_model):
+        engine = make_engine(eis_2lsu_partial, cost_model=cost_model)
+        pairs = [(In("region", (2, 2)), Eq("region", 2)),
+                 (In("region", (1, 1)) | Eq("status", 2),
+                  Eq("region", 1) | Eq("status", 2)),
+                 (Range("price", 100, 500) - In("region", (3, 3)),
+                  Range("price", 100, 500) - Eq("region", 3)),
+                 (In("region", (1, 1, 2)) | Eq("status", 2),
+                  In("region", (1, 2)) | Eq("status", 2))]
+        for duplicated, reference in pairs:
+            got = engine.execute(Query(table, duplicated))
+            want = engine.execute(Query(table, reference))
+            assert got.rids == want.rids
+            assert got.rows == want.rows
+            assert got.rids == oracle.where(table, reference)
+
+
+class TestRefusalIndependentOfWorkers:
+    """A plan refusal does not depend on the worker count."""
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_order_by_refused_after_replace_all_churn(
+            self, eis_2lsu_partial, workers):
+        rows = 100
+        rng = random.Random(5)
+
+        def fresh_rows():
+            return {"k": [rng.randrange(50) for _ in range(rows)]}
+
+        table = ColumnarTable("churned", fresh_rows())
+        table.create_index("k")
+        for _ in range(41):  # replace every row, 41 times
+            table.apply_delta(DeltaBatch(inserts=fresh_rows(),
+                                         delete_rids=table.all_rids()))
+        assert table.row_count == rows
+        assert table.rid_limit() == 4200
+        engine = make_engine(eis_2lsu_partial)
+        queries = [Query(table, Range("k", 0, 20), order_by="k"),
+                   Query(table, Eq("k", 3), order_by="k", limit=5)]
+        with pytest.raises(PlanError, match="PLAN007"):
+            engine.execute_batch(queries, workers=workers)
 
 
 class TestWorkerMetricMerge:

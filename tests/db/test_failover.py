@@ -13,8 +13,8 @@ import random
 
 import pytest
 
-from repro.db import (CircuitBreaker, Query, QueryEngine, Range,
-                      ShardError, ShardedEngine, Table, plan_replicas,
+from repro.db import (CircuitBreaker, ColumnarTable, Query, QueryEngine,
+                      Range, ShardError, ShardedEngine, plan_replicas,
                       rid_checksum)
 from repro.db.failover import BREAKER_STATES
 from repro.faults.db import (WEDGE_CYCLES, DbFaultInjector,
@@ -28,7 +28,7 @@ SHARDS = 4
 
 def build_table(rows=ROWS, seed=31, name="orders"):
     rng = random.Random(seed)
-    table = Table(name, {
+    table = ColumnarTable(name, {
         "status": [rng.randrange(4) for _ in range(rows)],
         "price": [rng.randrange(500) for _ in range(rows)],
     })

@@ -10,14 +10,17 @@ import random
 
 import pytest
 
-from repro.db import And, AndNot, Eq, In, Or, QueryExecutor, Range, Table
+from repro.db import (And, AndNot, ColumnarTable, Eq, In, Or, Query,
+                      QueryExecutor, Range)
+
+from . import oracle
 
 
 @pytest.fixture(scope="module")
 def table():
     rng = random.Random(47)
     n = 700
-    table = Table("events", {
+    table = ColumnarTable("events", {
         "kind": [rng.randrange(5) for _ in range(n)],
         "zone": [rng.randrange(7) for _ in range(n)],
         "score": [rng.randrange(500) for _ in range(n)],
@@ -52,8 +55,8 @@ class TestWhereParity:
         rids_eis, stats_eis = executors["eis"].where(table, predicate)
         rids_scalar, stats_scalar = executors["scalar"].where(
             table, predicate)
-        assert rids_eis == rids_scalar
-        assert table.fetch(rids_eis) == table.fetch(rids_scalar)
+        assert rids_eis == rids_scalar == oracle.where(table, predicate)
+        assert table.fetch(rids_eis) == oracle.fetch(table, rids_eis)
         if stats_eis.set_operations and stats_eis.cycles:
             assert stats_eis.cycles < stats_scalar.cycles
 
@@ -88,6 +91,10 @@ class TestOrderByParity:
                 order_by="score", descending=descending,
                 columns=("score", "kind"), limit=9)
             assert rows_eis == rows_scalar
+            assert rows_eis == oracle.answer(Query(
+                table, Or(Eq("zone", 1), Eq("zone", 2)),
+                order_by="score", descending=descending,
+                columns=("score", "kind"), limit=9))[1]
             assert len(rows_eis) == 9
             assert all(set(row) == {"score", "kind"}
                        for row in rows_eis)

@@ -4,7 +4,8 @@ import warnings
 
 import pytest
 
-from repro.db import And, Eq, In, Or, Query, QueryEngine, Range, Table
+from repro.db import (And, ColumnarTable, Eq, In, Or, Query, QueryEngine,
+                      Range)
 from repro.db.planlint import (PlanError, lint_query,
                                lint_query_or_raise)
 from repro.db.predicates import AndNot
@@ -12,7 +13,7 @@ from repro.db.predicates import AndNot
 
 @pytest.fixture(scope="module")
 def table():
-    table = Table("orders", {
+    table = ColumnarTable("orders", {
         "status": [1, 2, 3, 0],
         "price": [10, 20, 30, 40],
     })
@@ -38,7 +39,7 @@ class TestPlanChecks:
             Query(table, columns=["status", "ghost"]))
 
     def test_plan002_missing_index(self):
-        bare = Table("bare", {"a": [1, 2, 3]})
+        bare = ColumnarTable("bare", {"a": [1, 2, 3]})
         report = lint_query(Query(bare, Eq("a", 1)))
         found = report.by_code("PLAN002")
         assert len(found) == 1
@@ -78,7 +79,7 @@ class TestPlanChecks:
         assert "PLAN006" in plan_codes(query)
 
     def test_plan007_order_by_beyond_rid_budget(self):
-        big = Table("big", {"a": list(range(5000))})
+        big = ColumnarTable("big", {"a": list(range(5000))})
         big.create_index("a")
         query = Query(big, Eq("a", 1), order_by="a")
         assert "PLAN007" in plan_codes(query)
@@ -94,7 +95,7 @@ class TestEnforcement:
             lint_query_or_raise(Query(table, Eq("ghost", 1)))
 
     def test_plan_error_is_a_readable_key_error(self):
-        bare = Table("bare", {"a": [1]})
+        bare = ColumnarTable("bare", {"a": [1]})
         with pytest.raises(KeyError, match="secondary index"):
             lint_query_or_raise(Query(bare, Eq("a", 1)))
 

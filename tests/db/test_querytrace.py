@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.db import Eq, In, Query, QueryEngine, Range, Table
+from repro.db import ColumnarTable, Eq, In, Query, QueryEngine, Range
 from repro.telemetry.querytrace import (QUERY_TRACE_REPORT_SCHEMA,
                                         QUERY_TRACE_SCHEMA, QueryTracer,
                                         build_chrome_trace,
@@ -23,7 +23,7 @@ from repro.telemetry.tracer import validate_chrome_trace
 def table():
     rng = random.Random(77)
     n = 400
-    table = Table("orders", {
+    table = ColumnarTable("orders", {
         "status": [rng.randrange(4) for _ in range(n)],
         "region": [rng.randrange(6) for _ in range(n)],
         "price": [rng.randrange(800) for _ in range(n)],

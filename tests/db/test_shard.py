@@ -14,10 +14,12 @@ import random
 
 import pytest
 
-from repro.db import (And, AndNot, Eq, HashPartitioner, In, Or, Query,
-                      QueryEngine, Range, RangePartitioner, ShardedEngine,
-                      Table, make_partitioner, partition_table,
+from repro.db import (And, AndNot, ColumnarTable, Eq, HashPartitioner, In,
+                      Or, Query, QueryEngine, Range, RangePartitioner,
+                      ShardedEngine, make_partitioner, partition_table,
                       shard_may_match, skew_ratio)
+
+from . import oracle
 
 ROWS = 360
 
@@ -38,7 +40,7 @@ TREE_SHAPES = [
 
 def build_table(rows=ROWS, seed=47, name="events"):
     rng = random.Random(seed)
-    table = Table(name, {
+    table = ColumnarTable(name, {
         "kind": [rng.randrange(5) for _ in range(rows)],
         "zone": [rng.randrange(7) for _ in range(rows)],
         "score": [rng.randrange(500) for _ in range(rows)],
@@ -55,11 +57,8 @@ def table():
 
 @pytest.fixture(scope="module")
 def reference(table):
-    """Single-engine answers for every tree shape (the ground truth)."""
-    engine = QueryEngine()
-    results = engine.execute_batch(
-        [Query(table, shape) for shape in TREE_SHAPES])
-    return [(result.rids, result.rows) for result in results]
+    """Row-oracle answers for every tree shape (the ground truth)."""
+    return [oracle.answer(Query(table, shape)) for shape in TREE_SHAPES]
 
 
 class TestShardedParity:
@@ -96,6 +95,7 @@ class TestShardedParity:
             Query(table, query.predicate, order_by="score", limit=10))
         assert sharded.rids == single.rids
         assert sharded.rows == single.rows
+        assert (sharded.rids, sharded.rows) == oracle.answer(query)
 
     def test_no_predicate_full_scan_parity(self, table):
         single = QueryEngine().execute(Query(table, None, limit=20))
@@ -144,7 +144,7 @@ class TestEdgeCases:
         """Hash partitioning on a constant column pins every row."""
         rows = 60
         rng = random.Random(9)
-        table = Table("const", {
+        table = ColumnarTable("const", {
             "kind": [1] * rows,
             "score": [rng.randrange(100) for _ in range(rows)],
         })
@@ -188,7 +188,7 @@ class TestPruning:
     def test_skipped_counter_range_partition(self):
         """A narrow range over a range-partitioned column skips shards."""
         rows = 400
-        table = Table("ordered", {
+        table = ColumnarTable("ordered", {
             "key": list(range(rows)),
             "flag": [rid % 2 for rid in range(rows)],
         })
@@ -219,9 +219,8 @@ class TestPruning:
         engine = QueryEngine()
         for shape in TREE_SHAPES:
             for shard in shards:
-                if not shard_may_match(shard.table, shape):
-                    rids, _ = engine.evaluate_predicate(shard.table,
-                                                        shape)
+                if not shard_may_match(shard, shape):
+                    rids, _ = engine.evaluate_predicate(shard, shape)
                     assert rids == []
 
 
@@ -231,13 +230,15 @@ class TestPartitioners:
             partitioner = make_partitioner(kind, 5)
             shards = partition_table(table, partitioner)
             seen = sorted(rid for shard in shards
-                          for rid in shard.global_rids)
+                          for rid in shard.all_rids())
             assert seen == list(range(table.row_count))
 
     def test_global_rids_ascending(self, table):
+        """Shards keep the parent's RIDs, in ascending order."""
         for shard in partition_table(table, HashPartitioner(4)):
-            assert shard.global_rids \
-                == sorted(shard.global_rids)
+            rids = shard.all_rids()
+            assert rids == sorted(rids)
+            assert shard.fetch(rids) == table.fetch(rids)
 
     def test_hash_partition_balance(self):
         table = build_table(rows=2000, seed=5, name="big")
@@ -248,9 +249,9 @@ class TestPartitioners:
     def test_range_partition_by_column_orders_values(self, table):
         shards = partition_table(
             table, RangePartitioner(3, column="score"))
-        maxima = [max(shard.table.column("score"))
+        maxima = [max(shard.column("score"))
                   for shard in shards if shard.row_count]
-        minima = [min(shard.table.column("score"))
+        minima = [min(shard.column("score"))
                   for shard in shards if shard.row_count]
         for upper, lower in zip(maxima, minima[1:]):
             assert upper <= lower
@@ -285,10 +286,12 @@ class TestPartitionedOrderBy:
         partitioned = ShardedEngine(shards=3).execute_batch(queries)
         serial = ShardedEngine(
             shards=3, partitioned_order_by=False).execute_batch(queries)
-        for fast, slow, ref in zip(partitioned, serial, single):
+        for query, fast, slow, ref in zip(queries, partitioned, serial,
+                                          single):
             assert fast.rids == ref.rids
             assert slow.rids == ref.rids
             assert fast.rows == ref.rows
+            assert (ref.rids, ref.rows) == oracle.answer(query)
 
     def test_sort_merge_telemetry(self, table):
         engine = ShardedEngine(shards=3)
@@ -373,7 +376,7 @@ class TestRouters:
             shards = partition_table(table, partitioner)
             router = partitioner.router(table)
             for position, shard in enumerate(shards):
-                for rid in shard.global_rids:
+                for rid in shard.all_rids():
                     row = {name: values[rid]
                            for name, values in columns.items()}
                     assert router(rid, row) == position, \
