@@ -47,14 +47,20 @@ def test_sharded_batch_serving(benchmark):
     single_results = single.execute_batch(batch)
     serial_cycles = sum(r.stats.cycles for r in single_results)
 
-    engine = ShardedEngine(shards=SHARDS)
-    engine.shards_for(table)  # partition outside the timed region
+    def fresh_engine():
+        # Every round is cold: a new engine, partitioned outside the
+        # timed region, so makespan and every counter below describe
+        # the same single round.
+        engine = ShardedEngine(shards=SHARDS)
+        engine.shards_for(table)
+        return (engine,), {}
 
-    def serve():
-        return engine.execute_batch(batch)
+    def serve(engine):
+        return engine, engine.execute_batch(batch)
 
-    results = benchmark.pedantic(serve, rounds=3, iterations=1,
-                                 warmup_rounds=1)
+    engine, results = benchmark.pedantic(serve, setup=fresh_engine,
+                                         rounds=3, iterations=1,
+                                         warmup_rounds=1)
     assert [r.rids for r in results] \
         == [r.rids for r in single_results], \
         "sharded RIDs diverged from the single engine"

@@ -603,10 +603,10 @@ def invalidate_footprint(cache, table_id, touched):
     """Drop the entries of a ``(id(table), signature)``-keyed *cache*
     that a delta on that table may have changed; returns the count.
 
-    The one invalidation rule of every delta-aware cache (the engine
-    scan cache and the sharded engine's per-shard WHERE caches): an
-    entry is stale exactly when its signature overlaps the delta's
-    touched-value footprint (:func:`signature_affected`).
+    The invalidation rule of the engine scan cache
+    (:meth:`~repro.db.engine.QueryEngine.invalidate`): an entry is
+    stale exactly when its signature overlaps the delta's touched-value
+    footprint (:func:`signature_affected`).
     """
     stale = [key for key in cache
              if key[0] == table_id and signature_affected(key[1], touched)]

@@ -265,8 +265,7 @@ class QueryEngine:
         "updates": [StandingUpdate, ...]}``.
         """
         outcome = table.apply_delta(batch)
-        invalidated = invalidate_footprint(self._scan_cache, id(table),
-                                           outcome["touched"])
+        invalidated = self.invalidate(table, outcome["touched"])
         updates = []
         insert_rids = outcome["insert_rids"]
         removed_candidates = set(outcome["deleted_rids"].tolist())
@@ -286,9 +285,17 @@ class QueryEngine:
         self._deltas.add(1)
         self._delta_rows.add(len(insert_rids)
                              + len(removed_candidates))
-        self._scan_invalidated.add(invalidated)
         return {"table": outcome, "invalidated": invalidated,
                 "updates": updates}
+
+    def invalidate(self, table, touched):
+        """Drop the scan-cache entries on *table* that a delta with
+        the per-column *touched* value footprint may have changed;
+        returns (and counts, ``scan_cache.invalidated``) how many."""
+        invalidated = invalidate_footprint(self._scan_cache, id(table),
+                                           touched)
+        self._scan_invalidated.add(invalidated)
+        return invalidated
 
     def register_standing(self, query):
         """Register *query* for incremental maintenance.

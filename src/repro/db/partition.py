@@ -23,22 +23,25 @@ engine needs:
   (``db.shard.skipped``).
 """
 
-import bisect
+import numpy as _np
 
 from .predicates import And, AndNot, Eq, In, Leaf, Or, Range
 
 
-def _mix32(value):
-    """Deterministic 32-bit integer hash (xorshift-multiply avalanche).
+def _mix32(values):
+    """Deterministic 32-bit integer hash (xorshift-multiply avalanche),
+    elementwise over an int64 array.
 
     Python's builtin ``hash`` is identity on small ints, which would
     turn hash partitioning into modulo striping; this mixer spreads
-    consecutive RIDs and clustered values across shards.
+    consecutive RIDs and clustered values across shards.  Operands are
+    masked to 32 bits, so each product stays below 2**59 and int64
+    never overflows.
     """
-    value &= 0xFFFFFFFF
-    value = ((value ^ (value >> 16)) * 0x45D9F3B) & 0xFFFFFFFF
-    value = ((value ^ (value >> 16)) * 0x45D9F3B) & 0xFFFFFFFF
-    return value ^ (value >> 16)
+    values = _np.asarray(values, dtype=_np.int64) & 0xFFFFFFFF
+    values = ((values ^ (values >> 16)) * 0x45D9F3B) & 0xFFFFFFFF
+    values = ((values ^ (values >> 16)) * 0x45D9F3B) & 0xFFFFFFFF
+    return values ^ (values >> 16)
 
 
 class Partitioner:
@@ -52,18 +55,15 @@ class Partitioner:
         self.shards = shards
         self.column = column
 
-    def assign(self, table):
-        """Shard id per row, in RID order (length == row_count)."""
-        raise NotImplementedError
-
     def router(self, table):
-        """Frozen per-table routing closure ``(rid, row) -> shard``.
+        """Frozen routing function ``(rids, columns) -> shard ids``.
 
-        Captured at partition time so delta batches route rows
-        *incrementally*: the closure must agree with :meth:`assign` on
-        every existing row and extend deterministically to new RIDs —
-        range bounds in particular are frozen here, never recomputed,
-        so existing rows never move shards under deltas.
+        *rids* is an int64 array and *columns* maps column names to
+        integer value arrays of the same length; the result is one
+        shard id per row.  :func:`partition_table` places the table's rows
+        with it and delta batches route inserts through it, so state
+        the mapping depends on (range bounds in particular) is frozen
+        here, never recomputed: existing rows never move shards.
         """
         raise NotImplementedError
 
@@ -80,19 +80,12 @@ class HashPartitioner(Partitioner):
 
     kind = "hash"
 
-    def assign(self, table):
-        shards = self.shards
-        if self.column is None:
-            return [_mix32(rid) % shards for rid in table.all_rids()]
-        return [_mix32(value) % shards
-                for value in table.column(self.column)]
-
     def router(self, table):
         shards = self.shards
         if self.column is None:
-            return lambda rid, row: _mix32(rid) % shards
+            return lambda rids, columns: _mix32(rids) % shards
         column = self.column
-        return lambda rid, row: _mix32(row[column]) % shards
+        return lambda rids, columns: _mix32(columns[column]) % shards
 
 
 class RangePartitioner(Partitioner):
@@ -118,48 +111,29 @@ class RangePartitioner(Partitioner):
                 raise ValueError("bounds must be ascending")
         self.bounds = bounds
 
-    def assign(self, table):
-        rows = table.row_count
-        if self.column is None:
-            # balanced contiguous slices of the RID space
-            return [(rid * self.shards) // rows for rid in range(rows)]
-        values = table.column(self.column)
-        bounds = self.bounds
-        if bounds is None:
-            bounds = self._quantile_bounds(values)
-        return [bisect.bisect_right(bounds, value) for value in values]
-
-    def _quantile_bounds(self, values):
-        ordered = sorted(values)
-        rows = len(values)
-        return [ordered[(rows * cut) // self.shards - 1]
-                for cut in range(1, self.shards)]
-
     def router(self, table):
+        cuts = _np.arange(1, self.shards)
         if self.column is not None:
             bounds = self.bounds
             if bounds is None:
-                bounds = self._quantile_bounds(
-                    table.column(self.column))
+                # Equal-depth quantiles of the column's values.
+                ordered = _np.sort(_np.asarray(table.column(self.column),
+                                               dtype=_np.int64))
+                bounds = ordered[(len(ordered) * cuts) // self.shards - 1]
+            bounds = _np.asarray(bounds, dtype=_np.int64)
             column = self.column
-            return lambda rid, row: bisect.bisect_right(bounds,
-                                                        row[column])
-        # RID mode: freeze the RID cut points of the current
-        # assignment.  rid_bounds[i] is the highest RID in shards
-        # 0..i, so bisect_left (elements strictly below the probe)
-        # lands existing rows exactly where assign() put them and new
-        # (higher) RIDs in the last shard.
-        assignments = self.assign(table)
-        all_rids = table.all_rids()
-        rid_bounds = []
-        previous = -1
-        for position, shard_id in enumerate(assignments):
-            while len(rid_bounds) < shard_id:
-                rid_bounds.append(previous)
-            previous = all_rids[position]
-        while len(rid_bounds) < self.shards - 1:
-            rid_bounds.append(previous)
-        return lambda rid, row: bisect.bisect_left(rid_bounds, rid)
+            return lambda rids, columns: _np.searchsorted(
+                bounds, columns[column], side="right")
+        # RID mode: balanced contiguous slices of the live rows in RID
+        # order.  ends[i] rows fall in shards 0..i, so rid_bounds[i] is
+        # the highest RID there (-1 while they are empty) and
+        # side="left" (bounds strictly below the probe) lands existing
+        # rows in their slice and new (higher) RIDs in the last shard.
+        live = _np.asarray(table.all_rids(), dtype=_np.int64)
+        ends = (cuts * live.size + self.shards - 1) // self.shards
+        rid_bounds = _np.concatenate(([-1], live))[ends]
+        return lambda rids, columns: _np.searchsorted(
+            rid_bounds, rids, side="left")
 
 
 PARTITIONER_KINDS = ("hash", "range")
@@ -177,30 +151,38 @@ def make_partitioner(kind, shards, column=None):
                      % (kind, ", ".join(PARTITIONER_KINDS)))
 
 
+def route(router, shards, rids, columns):
+    """Shard id per row from *router*, checked to lie in
+    ``0..shards-1`` (ValueError otherwise)."""
+    assignments = _np.asarray(router(rids, columns))
+    if assignments.shape != rids.shape:
+        raise ValueError("partitioner assigned %d rows of %d"
+                         % (assignments.size, rids.size))
+    bad = (assignments < 0) | (assignments >= shards)
+    if bad.any():
+        first = int(_np.argmax(bad))
+        raise ValueError("row %d assigned to shard %d (of %d)"
+                         % (rids[first], assignments[first], shards))
+    return assignments
+
+
 def partition_table(table, partitioner):
     """Split *table* into ``partitioner.shards`` sub-tables.
 
-    Each shard is ``table.subset(...)``: a
-    :class:`~repro.db.columnar.ColumnarTable` holding its rows under
-    the parent's RIDs, with every secondary index of the parent
-    rebuilt (leaf scans run shard-locally).
+    Rows are placed by :meth:`Partitioner.router`.  Each shard is
+    ``table.subset(...)``: a :class:`~repro.db.columnar.ColumnarTable`
+    holding its rows under the parent's RIDs, with every secondary
+    index of the parent rebuilt (leaf scans run shard-locally).
     """
-    assignments = partitioner.assign(table)
-    if len(assignments) != table.row_count:
-        raise ValueError("partitioner assigned %d rows of %d"
-                         % (len(assignments), table.row_count))
-    shards = partitioner.shards
-    rid_lists = [[] for _ in range(shards)]
-    for rid, shard_id in zip(table.all_rids(), assignments):
-        if not 0 <= shard_id < shards:
-            raise ValueError("row %d assigned to shard %r (of %d)"
-                             % (rid, shard_id, shards))
-        rid_lists[shard_id].append(rid)
+    rids, columns = table.live_arrays()
+    assignments = route(partitioner.router(table), partitioner.shards,
+                        rids, columns)
     indexed = [name for name in table.column_names
                if table.has_index(name)]
     result = []
-    for shard_id, rids in enumerate(rid_lists):
-        shard = table.subset("%s/shard%d" % (table.name, shard_id), rids)
+    for shard_id in range(partitioner.shards):
+        shard = table.subset("%s/shard%d" % (table.name, shard_id),
+                             rids[assignments == shard_id])
         for name in indexed:
             shard.create_index(name)
         result.append(shard)

@@ -62,20 +62,23 @@ measure, and it is deterministic).
 """
 
 import time
+from collections import namedtuple
+
+import numpy as _np
 
 from ..core.costmodel import CostModel
 from ..cpu.interconnect import Interconnect
 from ..supervisor import SupervisorPool, Task
 from ..telemetry.registry import MetricsRegistry
-from .columnar import DeltaBatch, invalidate_footprint
+from .columnar import DeltaBatch
 from .engine import QueryEngine, QueryResult, _table_from_spec, _table_spec
 from .executor import RID_BITS, QueryStats, _merge_stats
 from .failover import (BREAKER_STATES, CircuitBreaker, ShardError,
                        rid_checksum)
 from .partition import (make_partitioner, partition_table,
-                        plan_replicas, shard_may_match, skew_ratio)
+                        plan_replicas, route, shard_may_match,
+                        skew_ratio)
 from .planlint import lint_query_or_raise
-from .predicates import signature
 
 #: Bytes one RID occupies on the wire (the paper's 32-bit element).
 RID_BYTES = 4
@@ -112,6 +115,13 @@ class _Pruned:
 
 
 _PRUNED = _Pruned()
+
+
+#: One parent table's sharding, built once by
+#: :meth:`ShardedEngine.shards_for`: the pinned parent table, its shard
+#: sub-tables, the replica placement (``plan_replicas``) and the frozen
+#: ``Partitioner.router`` that places delta inserts.
+_Partition = namedtuple("_Partition", "table shards replicas router")
 
 
 class ShardedResult(QueryResult):
@@ -276,12 +286,6 @@ class ShardedEngine:
                 "rows_held": shard_scope.gauge("rows_held"),
                 "queue_depth": shard_scope.gauge("queue_depth"),
                 "replicas": shard_scope.gauge("replicas"),
-                "cache_hits": shard_scope.scope("cache")
-                .counter("hits"),
-                "cache_misses": shard_scope.scope("cache")
-                .counter("misses"),
-                "cache_invalidated": shard_scope.scope("cache")
-                .counter("invalidated"),
             })
             breaker_scope = shard_scope.scope("breaker")
             self._breaker_scopes.append({
@@ -291,22 +295,9 @@ class ShardedEngine:
                 "failures": breaker_scope.counter("failures"),
                 "short_circuits": breaker_scope.counter("short_circuits"),
             })
-        #: id(table) -> list of shard sub-tables; tables pinned for
-        #: id() stability, exactly like the engine's scan cache.
+        #: id(table) -> _Partition (which pins the table, so the id()
+        #: keys stay unique for the engine's lifetime).
         self._partitions = {}
-        self._pinned_tables = {}
-        #: id(table) -> plan_replicas placement (replica hosts/shard).
-        self._replica_placements = {}
-        #: Cross-batch shard WHERE caches: per shard position,
-        #: (id(shard table), predicate signature) -> RID list.
-        #: Disabled under fault injection — a cache hit would mask the
-        #: very failover paths the chaos harness measures.
-        self._shard_cache = [{} for _ in range(shards)]
-        self._cache_enabled = fault_injector is None
-        #: id(table) -> frozen Partitioner.router closure (delta
-        #: routing) and rid -> shard-position owner map.
-        self._routers = {}
-        self._rid_owners = {}
         self._pool = None
 
     # -- lifecycle ------------------------------------------------------------
@@ -329,30 +320,30 @@ class ShardedEngine:
     def shards_for(self, table):
         """Partition (once) and return this table's shard sub-tables
         (see :func:`~repro.db.partition.partition_table`)."""
-        key = id(table)
-        existing = self._partitions.get(key)
-        if existing is not None:
-            return existing
+        return self._partition(table).shards
+
+    def replica_hosts(self, table, position):
+        """Engine indices hosting shard *position*'s replicas."""
+        return list(self._partition(table).replicas[position])
+
+    def _partition(self, table):
+        partition = self._partitions.get(id(table))
+        if partition is not None:
+            return partition
         shards = partition_table(table, self.partitioner)
-        self._partitions[key] = shards
-        self._pinned_tables[key] = table
-        # Freeze the routing closure now: range bounds must never be
-        # recomputed after deltas, or existing rows would move shards.
-        self._routers[key] = self.partitioner.router(table)
         placement = plan_replicas([shard.row_count for shard in shards],
                                   self.shards, self.replication,
                                   budget=self.replica_budget)
-        self._replica_placements[key] = placement
+        # Freeze the router now: range bounds must never be recomputed
+        # after deltas, or existing rows would move shards.
+        partition = _Partition(table, shards, placement,
+                               self.partitioner.router(table))
+        self._partitions[id(table)] = partition
         for index, shard in enumerate(shards):
             self._shard_scopes[index]["rows_held"].set(shard.row_count)
             self._shard_scopes[index]["replicas"].set(
                 len(placement[index]))
-        return shards
-
-    def replica_hosts(self, table, position):
-        """Engine indices hosting shard *position*'s replicas."""
-        self.shards_for(table)
-        return list(self._replica_placements[id(table)][position])
+        return partition
 
     # -- delta maintenance ----------------------------------------------------
 
@@ -361,63 +352,36 @@ class ShardedEngine:
 
         The coordinator engine applies the batch to the parent table
         first (assigning RIDs, maintaining its scan cache and standing
-        queries); the effective rows are then routed through the
-        table's *frozen* partition router — inserts to the shard the
-        router names, deletes to the shard that owns the RID — and
-        replayed onto each shard's sub-table as a pre-assigned-RID
-        sub-batch.  Existing rows never move shards, so every cached
-        structure survives except entries whose predicate overlaps the
-        delta's touched values.
+        queries); the effective rows are then routed — inserts through
+        the table's *frozen* partition router, deletes to the sub-table
+        that holds the RID — and replayed onto each shard's sub-table
+        as a pre-assigned-RID sub-batch.  Existing rows never move
+        shards, so the shard engines' scan caches lose only entries
+        whose predicate overlaps the delta's touched values.
         """
-        shards = self.shards_for(table)
-        key = id(table)
-        router = self._routers[key]
-        owners = self._rid_owners.get(key)
-        if owners is None:
-            owners = {}
-            for position, shard in enumerate(shards):
-                for rid in shard.all_rids():
-                    owners[rid] = position
-            self._rid_owners[key] = owners
+        partition = self._partition(table)
         applied = self.coordinator.apply_delta(table, batch)
         outcome = applied["table"]
-        insert_rids = outcome["insert_rids"].tolist()
-        insert_columns = {name: values.tolist() for name, values
-                          in outcome["insert_columns"].items()}
-        deleted_rids = outcome["deleted_rids"].tolist()
-        names = list(insert_columns)
-        per_inserts = [([], {name: [] for name in names})
-                       for _ in range(self.shards)]
-        for offset, rid in enumerate(insert_rids):
-            row = {name: insert_columns[name][offset]
-                   for name in names}
-            position = router(rid, row)
-            owners[rid] = position
-            rid_list, column_lists = per_inserts[position]
-            rid_list.append(rid)
-            for name in names:
-                column_lists[name].append(row[name])
-        per_deletes = [[] for _ in range(self.shards)]
-        for rid in deleted_rids:
-            per_deletes[owners.pop(rid)].append(rid)
-        for position, shard in enumerate(shards):
-            rid_list, column_lists = per_inserts[position]
-            delete_list = per_deletes[position]
-            if not rid_list and not delete_list:
+        insert_rids = outcome["insert_rids"]
+        insert_columns = outcome["insert_columns"]
+        deleted_rids = outcome["deleted_rids"]
+        # A delete-only batch carries no insert columns to route on.
+        targets = route(partition.router, self.shards, insert_rids,
+                        insert_columns) if insert_rids.size \
+            else insert_rids
+        for position, shard in enumerate(partition.shards):
+            mine = targets == position
+            deletes = deleted_rids[_np.isin(deleted_rids,
+                                            shard.all_rids())]
+            if not mine.any() and not deletes.size:
                 continue
             sub_batch = DeltaBatch(
-                inserts=column_lists if rid_list else None,
-                delete_rids=delete_list,
-                insert_rids=rid_list or None)
+                inserts={name: values[mine] for name, values
+                         in insert_columns.items()},
+                delete_rids=deletes, insert_rids=insert_rids[mine])
             touched = shard.apply_delta(sub_batch)["touched"]
-            stale = invalidate_footprint(self._shard_cache[position],
-                                         id(shard), touched)
-            if stale:
-                self._shard_scopes[position]["cache_invalidated"].add(
-                    stale)
             for engine in self.shard_engines:
-                invalidate_footprint(engine._scan_cache, id(shard),
-                                     touched)
+                engine.invalidate(shard, touched)
             self._shard_scopes[position]["rows_held"].set(
                 shard.row_count)
         self._deltas.add(1)
@@ -559,10 +523,9 @@ class ShardedEngine:
         *prefetched* carries pooled-scatter payload cells (or ``None``
         for the inline path, where pruning happens here).
         """
-        shards = self.shards_for(table)
-        placement = self._replica_placements[id(table)]
+        partition = self._partition(table)
         entries = []
-        for position, shard in enumerate(shards):
+        for position, shard in enumerate(partition.shards):
             payload = prefetched[position] \
                 if prefetched is not None else None
             if payload is _PRUNED:
@@ -572,7 +535,7 @@ class ShardedEngine:
                     and not shard_may_match(shard, predicate):
                 entries.append(_SKIPPED)
                 continue
-            hosts = [position] + placement[position]
+            hosts = [position] + partition.replicas[position]
             entries.append(self._serve_shard(
                 position, hosts, shard, predicate, cse, tracer, index,
                 payload, deadline))
@@ -625,33 +588,6 @@ class ShardedEngine:
 
     def _serve_shard(self, position, hosts, shard, predicate, cse,
                      tracer, index, payload, deadline):
-        """One shard's WHERE, behind the cross-batch shard cache.
-
-        A (shard table, predicate signature) hit returns the cached
-        RID list without dispatching to any host (modeled
-        cycles: zero, like the engine-level scan cache).  Entries are
-        installed only from checksum-verified ``ok`` serves and are
-        invalidated by :meth:`apply_delta`'s touched-value footprint;
-        under fault injection the cache is disabled outright — a hit
-        would mask the failover paths the chaos harness measures.
-        """
-        key = None
-        if self._cache_enabled:
-            key = (id(shard), signature(predicate))
-            cached = self._shard_cache[position].get(key)
-            if cached is not None:
-                self._shard_scopes[position]["cache_hits"].add(1)
-                return ("ok", list(cached), QueryStats(), 0, 0)
-            self._shard_scopes[position]["cache_misses"].add(1)
-        entry = self._serve_shard_uncached(
-            position, hosts, shard, predicate, cse, tracer, index,
-            payload, deadline)
-        if key is not None and entry[0] == "ok":
-            self._shard_cache[position][key] = list(entry[1])
-        return entry
-
-    def _serve_shard_uncached(self, position, hosts, shard, predicate,
-                              cse, tracer, index, payload, deadline):
         """One shard's WHERE for one query, across its host chain.
 
         Sequential failover along ``hosts`` (primary first, then
@@ -932,12 +868,6 @@ class ShardedEngine:
             for query_index, query in enumerate(queries):
                 if query.predicate is None:
                     continue
-                if self._cache_enabled and (
-                        id(shard), signature(query.predicate)) \
-                        in self._shard_cache[position]:
-                    # Cached pairs skip the pool; the inline path
-                    # serves them from the shard cache.
-                    continue
                 if shard_may_match(shard, query.predicate):
                     plan.append((query_index, query.predicate))
                 else:
@@ -1008,13 +938,7 @@ class ShardedEngine:
         self.coordinator.clear_caches()
         for engine in self.shard_engines:
             engine.clear_caches()
-        for cache in self._shard_cache:
-            cache.clear()
         self._partitions.clear()
-        self._pinned_tables.clear()
-        self._replica_placements.clear()
-        self._routers.clear()
-        self._rid_owners.clear()
 
     def __repr__(self):
         return "<ShardedEngine %s x%d %s cost_model=%s replicas=%d>" % (

@@ -18,11 +18,12 @@ This module keeps the trajectory *in the repository*:
   nonzero on regressions — the CI gate.
 
 Metrics are classified by name.  *Deterministic* metrics (modeled
-cycles, instructions, CPI, model-derived throughput) gate the build:
-the simulator is deterministic, so any drift is a real change.
-*Noisy* metrics (wall-clock seconds, queries/s, host speedups) are
-reported but only gate with ``--include-noisy`` — CI machines jitter
-far more than real regressions of interest.
+cycles, instructions, CPI, model-derived throughput, any ``modeled_``
+leaf such as ``modeled_speedup``) gate the build: the simulator is
+deterministic, so any drift is a real change.  *Noisy* metrics
+(wall-clock seconds, queries/s, host speedups) are reported but only
+gate with ``--include-noisy`` — CI machines jitter far more than real
+regressions of interest.
 """
 
 import json
@@ -62,8 +63,9 @@ def classify(path):
             direction = "higher"
     if direction is None:
         return None
-    noisy = any(leaf == suffix or leaf.endswith("_" + suffix)
-                for suffix in _NOISY)
+    noisy = not leaf.startswith("modeled_") and any(
+        leaf == suffix or leaf.endswith("_" + suffix)
+        for suffix in _NOISY)
     return direction, noisy
 
 

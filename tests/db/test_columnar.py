@@ -362,7 +362,7 @@ class TestShardedDeltas:
                                partition_column=column)
         queries = [Query(table, shape) for shape in SHAPES]
         for spec in specs[:6]:
-            engine.execute_batch(queries)  # warm the shard caches
+            engine.execute_batch(queries)  # warm the scan caches
             engine.apply_delta(table, DeltaBatch.from_spec(spec))
             results = engine.execute_batch(queries)
             expected = QueryEngine(
@@ -371,9 +371,13 @@ class TestShardedDeltas:
                 == [r.rids for r in expected]
         snapshot = engine.metrics_snapshot()
         assert snapshot["db.shard.deltas"] == 6
-        hits = sum(snapshot["db.shard.%d.cache.hits" % position]
-                   for position in range(3))
+        hits = sum(snapshot["db.shard.%d.engine.scan_cache.hits"
+                            % position] for position in range(3))
         assert hits > 0
+        invalidated = sum(
+            snapshot["db.shard.%d.engine.scan_cache.invalidated"
+                     % position] for position in range(3))
+        assert invalidated > 0
 
     def test_shard_tables_share_global_rid_space(self, delta_stream):
         initial, specs = delta_stream

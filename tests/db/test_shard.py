@@ -10,8 +10,10 @@ more shards than rows — must degrade to the same answer, and sound
 pruning must only ever *skip* work, never change it.
 """
 
+import bisect
 import random
 
+import numpy as np
 import pytest
 
 from repro.db import (And, AndNot, ColumnarTable, Eq, HashPartitioner, In,
@@ -311,55 +313,85 @@ class TestPartitionedOrderBy:
         assert partitioned.rids == serial.rids
 
 
-class TestShardCache:
-    """Cross-batch per-shard WHERE cache: hits, parity, chaos opt-out."""
+class TestRepeatedBatches:
+    """No cross-batch shard memo: the shard engines' scan cache and the
+    per-batch CSE are the only reuse, so a repeated batch bills what a
+    cold one bills, armed fault injector or not."""
 
-    def test_repeat_batch_hits_with_identical_results(self, table,
-                                                      reference):
-        engine = ShardedEngine(shards=3)
-        queries = [Query(table, shape) for shape in TREE_SHAPES]
-        first = engine.execute_batch(queries)
-        second = engine.execute_batch(queries)
-        expected = [rids for rids, _ in reference]
-        assert [r.rids for r in first] == expected
-        assert [r.rids for r in second] == expected
-        snapshot = engine.metrics_snapshot()
-        hits = sum(snapshot["db.shard.%d.cache.hits" % position]
-                   for position in range(3))
-        misses = sum(snapshot["db.shard.%d.cache.misses" % position]
-                     for position in range(3))
-        assert hits > 0
-        assert misses > 0
-
-    def test_clear_caches_forgets_entries(self, table):
-        engine = ShardedEngine(shards=2)
-        query = Query(table, Eq("kind", 2))
-        engine.execute(query)
-        engine.clear_caches()
-        engine.execute(Query(table, Eq("kind", 2)))
-        snapshot = engine.metrics_snapshot()
-        hits = sum(snapshot["db.shard.%d.cache.hits" % position]
-                   for position in range(2))
-        assert hits == 0
-
-    def test_cache_disabled_under_fault_injection(self, table):
+    def test_repeat_batch_bills_like_a_fresh_engine(self, table,
+                                                    reference):
         from repro.faults.db import DbFaultInjector
         from repro.faults.plan import FaultPlan
-        engine = ShardedEngine(shards=3, strict=False,
-                               fault_injector=DbFaultInjector(
-                                   FaultPlan([])))
-        queries = [Query(table, shape) for shape in TREE_SHAPES[:3]]
-        first = engine.execute_batch(queries)
-        second = engine.execute_batch(queries)
-        assert [r.rids for r in first] == [r.rids for r in second]
-        snapshot = engine.metrics_snapshot()
-        for position in range(3):
-            assert snapshot["db.shard.%d.cache.hits" % position] == 0
-            assert snapshot["db.shard.%d.cache.misses" % position] == 0
+
+        def served(results):
+            return [(r.rids, r.shard_cycles, r.makespan_cycles)
+                    for r in results]
+
+        queries = [Query(table, shape) for shape in TREE_SHAPES]
+        expected = served(ShardedEngine(shards=3).execute_batch(queries))
+        assert [rids for rids, _, _ in expected] \
+            == [rids for rids, _ in reference]
+        for injector in (None, DbFaultInjector(FaultPlan([]))):
+            engine = ShardedEngine(shards=3, fault_injector=injector)
+            assert served(engine.execute_batch(queries)) == expected
+            assert served(engine.execute_batch(queries)) == expected
+
+    def test_clear_caches_repartitions(self, table):
+        engine = ShardedEngine(shards=2)
+        before = engine.shards_for(table)
+        engine.execute(Query(table, Eq("kind", 2)))
+        engine.clear_caches()
+        after = engine.shards_for(table)
+        assert after is not before
+        assert [shard.all_rids() for shard in after] \
+            == [shard.all_rids() for shard in before]
+
+
+def _mix32(value):
+    """Scalar reference of the hash partitioner's avalanche mixer."""
+    value &= 0xFFFFFFFF
+    value = ((value ^ (value >> 16)) * 0x45D9F3B) & 0xFFFFFFFF
+    value = ((value ^ (value >> 16)) * 0x45D9F3B) & 0xFFFFFFFF
+    return value ^ (value >> 16)
+
+
+def reference_router(partitioner, table):
+    """Per-row scalar ``(rid, row) -> shard`` rule, frozen on *table*:
+    ``_mix32 % shards`` for hash, ``bisect`` over equal-depth
+    quantiles (values) or contiguous live-row slices (RIDs, later RIDs
+    to the last shard) for range."""
+    shards, column = partitioner.shards, partitioner.column
+    if partitioner.kind == "hash":
+        if column is None:
+            return lambda rid, row: _mix32(rid) % shards
+        return lambda rid, row: _mix32(row[column]) % shards
+    if column is not None:
+        ordered = sorted(table.column(column))
+        bounds = [ordered[(len(ordered) * cut) // shards - 1]
+                  for cut in range(1, shards)]
+        return lambda rid, row: bisect.bisect_right(bounds, row[column])
+    rids = table.all_rids()
+    slot = {rid: (position * shards) // len(rids)
+            for position, rid in enumerate(rids)}
+    return lambda rid, row: slot.get(rid, shards - 1)
+
+
+class _OverflowPartitioner(HashPartitioner):
+    """Sends every RID at or above *first_bad* to shard ``shards``."""
+
+    def __init__(self, shards, first_bad):
+        super().__init__(shards)
+        self.first_bad = first_bad
+
+    def router(self, table):
+        inner = super().router(table)
+        return lambda rids, columns: np.where(
+            rids >= self.first_bad, self.shards, inner(rids, columns))
 
 
 class TestRouters:
-    """Frozen routing closures agree with assign() on existing rows."""
+    """The array router places rows exactly like a per-row scalar
+    reference, at partition time and for every delta insert."""
 
     PARTITIONER_FACTORIES = (
         lambda: HashPartitioner(4),
@@ -368,35 +400,69 @@ class TestRouters:
         lambda: RangePartitioner(4, column="score"),
     )
 
+    @staticmethod
+    def _assert_placement(table, shards, rule, label):
+        rows = dict(zip(table.all_rids(), table.fetch(table.all_rids())))
+        for position, shard in enumerate(shards):
+            for rid in shard.all_rids():
+                assert rule(rid, rows[rid]) == position, label
+        assert sorted(rid for shard in shards
+                      for rid in shard.all_rids()) == sorted(rows), label
+
     def test_router_matches_assignment(self, table):
-        columns = {name: table.column(name)
-                   for name in ("kind", "zone", "score")}
         for factory in self.PARTITIONER_FACTORIES:
             partitioner = factory()
-            shards = partition_table(table, partitioner)
-            router = partitioner.router(table)
-            for position, shard in enumerate(shards):
-                for rid in shard.all_rids():
-                    row = {name: values[rid]
-                           for name, values in columns.items()}
-                    assert router(rid, row) == position, \
-                        partitioner.describe()
+            self._assert_placement(table,
+                                   partition_table(table, partitioner),
+                                   reference_router(partitioner, table),
+                                   partitioner.describe())
+
+    def test_delta_routing_matches_scalar_reference(self):
+        from repro.db import DeltaBatch
+        from repro.workloads.sets import generate_delta_stream
+        initial, specs = generate_delta_stream(
+            240, 8, {"kind": 5, "zone": 7, "score": 500},
+            inserts_per_batch=30, deletes_per_batch=20, seed=29,
+            ghost_batches=(3,))
+        for factory in self.PARTITIONER_FACTORIES:
+            partitioner = factory()
+            table = ColumnarTable("stream", initial)
+            for column in initial:
+                table.create_index(column)
+            rule = reference_router(partitioner, table)
+            engine = ShardedEngine(shards=4, partitioner=partitioner)
+            self._assert_placement(table, engine.shards_for(table), rule,
+                                   partitioner.describe())
+            for spec in specs:
+                engine.apply_delta(table, DeltaBatch.from_spec(spec))
+            self._assert_placement(table, engine.shards_for(table), rule,
+                                   partitioner.describe())
 
     def test_range_rid_router_sends_new_rids_to_last_shard(self,
                                                            table):
-        partitioner = RangePartitioner(3)
-        partition_table(table, partitioner)
-        router = partitioner.router(table)
-        assert router(table.row_count + 1000, {}) == 2
+        router = RangePartitioner(3).router(table)
+        probe = np.asarray([table.rid_limit() + 1000], dtype=np.int64)
+        assert router(probe, {}).tolist() == [2]
 
     def test_range_value_router_is_frozen(self, table):
         """The value router keeps its quantile bounds even if asked
         about values outside the original distribution."""
-        partitioner = RangePartitioner(3, column="score")
-        partition_table(table, partitioner)
-        router = partitioner.router(table)
-        assert router(10 ** 6, {"score": 0}) == 0
-        assert router(10 ** 6, {"score": 499}) == 2
+        router = RangePartitioner(3, column="score").router(table)
+        rids = np.asarray([10 ** 6, 10 ** 6], dtype=np.int64)
+        scores = np.asarray([0, 499], dtype=np.int64)
+        assert router(rids, {"score": scores}).tolist() == [0, 2]
+
+    def test_out_of_range_assignment_is_rejected(self, table):
+        from repro.db import DeltaBatch
+        with pytest.raises(ValueError, match="assigned to shard 3"):
+            partition_table(table, _OverflowPartitioner(3, first_bad=0))
+        fresh = build_table(rows=40, seed=3, name="overflow")
+        engine = ShardedEngine(shards=3, partitioner=_OverflowPartitioner(
+            3, first_bad=fresh.rid_limit()))
+        engine.shards_for(fresh)
+        with pytest.raises(ValueError, match="assigned to shard 3"):
+            engine.apply_delta(fresh, DeltaBatch(
+                inserts={"kind": [1], "zone": [2], "score": [3]}))
 
 
 class TestTelemetry:

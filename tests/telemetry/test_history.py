@@ -37,6 +37,22 @@ class TestClassify:
     def test_model_throughput_is_deterministic(self):
         assert classify("throughput_meps") == ("higher", False)
 
+    def test_modeled_speedup_is_gated(self):
+        """A ``modeled_`` figure is deterministic whatever its suffix;
+        the host-timed speedup beside it stays noisy."""
+        assert classify("db_shard.modeled_speedup") == ("higher", False)
+        assert classify("db_engine.speedup") == ("higher", True)
+        baseline = {"label": "base", "benchmarks": {
+            "db_shard": {"modeled_speedup": 8.0},
+            "db_engine": {"speedup": 20.0}}}
+        rows = {row["metric"]: row for row in compare(
+            {"db_shard": {"modeled_speedup": 2.5},
+             "db_engine": {"speedup": 10.0}}, baseline).rows}
+        assert rows["modeled_speedup"]["gated"]
+        assert rows["modeled_speedup"]["status"] == "regression"
+        assert not rows["speedup"]["gated"]
+        assert rows["speedup"]["status"] == "noisy-regression"
+
     def test_unknown_names_untracked(self):
         assert classify("rows") is None
         assert classify("schema") is None
