@@ -146,14 +146,15 @@ def test_delta_maintenance_vs_rebuild(benchmark, stream):
     _table, incremental_seconds = _run_incremental(initial, batches)
     rebuilt, rebuild_seconds = _run_rebuild(initial, specs)
 
-    assert incremental.all_rids() == rebuilt.all_rids(), \
+    assert incremental.all_rids().tolist() \
+        == rebuilt.all_rids().tolist(), \
         "incremental RID space diverged from the rebuild"
     for name in COLUMNS:
         assert incremental.column(name) == rebuilt.column(name), \
             "column %s diverged" % name
     probe = incremental.index("price")
-    assert probe.scan_range(100, 300) \
-        == rebuilt.index("price").scan_range(100, 300)
+    assert probe.scan_range(100, 300).tolist() \
+        == rebuilt.index("price").scan_range(100, 300).tolist()
     assert probe.delta_merges > 0
 
     speedup = rebuild_seconds / incremental_seconds \

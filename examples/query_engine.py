@@ -53,6 +53,7 @@ def main():
         cells = []
         for name, executor, report in engines:
             rids, stats = executor.where(table, predicate)
+            rids = rids.tolist()
             if label in reference:
                 assert rids == reference[label], "engines disagree!"
             reference[label] = rids

@@ -6,8 +6,8 @@ is bounded by simulator speed rather than by the modeled hardware.
 This module removes the simulator from the serving path while keeping
 the *cycle numbers* exact:
 
-* results are computed with plain set algebra / sorting (NumPy above
-  a small size cutover, C-level ``set``/``sorted`` below it), and
+* results are computed once per operation with vectorized set algebra
+  / sorting on int64 ndarrays, and
 * cycle counts are predicted from a per-(processor-config, kernel,
   unroll) linear model over *event counts* — how often each control
   path of the kernel executes for a given input.
@@ -23,8 +23,12 @@ operand values:
 * scalar set kernels: merged-order event classification (``adva`` /
   ``advb`` / ``both`` / exit variant / drain lengths),
 * scalar merge sort: per-pair take/drain interleave counts,
-* EIS set kernels: a lean per-block walk of the set datapath that
-  counts fused-bundle iterations (not per-instruction simulation),
+* EIS set kernels: a *window chase* over the Figure 11 ``store_sop``
+  loop -- one Python step per SOP bundle with three integers of state
+  per operand (elements consumed, window end, load frontier), closed
+  forms for block loads/stores, the flush tail and the one-sided
+  drain (see :func:`eis_set_features`); the per-iteration datapath
+  walk it replaced is the oracle of its differential tests,
 * EIS merge sort: a structural walk over the pass/pair recurrence
   (its iteration counts are data-independent).
 
@@ -61,12 +65,11 @@ from .scalar_kernels import (run_scalar_merge_sort,
 _CALIBRATIONS = {}
 
 
-def _operand_list(values):
-    """Normalize a kernel operand to a plain list of Python ints.
+def operand_list(values):
+    """A kernel operand as a plain sequence of Python ints.
 
-    The columnar storage layer produces ndarray RID/value vectors;
-    everything below the public CostModel API (feature extraction,
-    kernel walks, calibration probes) assumes list semantics.
+    RID vectors travel as int64 ndarrays; the ISS kernel runners and
+    the scalar-kernel feature walks take lists.
     """
     if isinstance(values, _np.ndarray):
         return values.tolist()
@@ -188,34 +191,30 @@ def _predict(calibration, features):
 # result computation (vectorized set algebra)
 # ---------------------------------------------------------------------------
 
-#: Below this operand size the numpy call overhead beats C-level sets.
-_NUMPY_CUTOVER = 64
-
-
 def set_result(which, set_a, set_b):
-    """The kernel's result list, computed without the processor."""
-    if len(set_a) + len(set_b) >= _NUMPY_CUTOVER:
-        a = _np.asarray(set_a, dtype=_np.int64)
-        b = _np.asarray(set_b, dtype=_np.int64)
-        if which == "intersection":
-            out = _np.intersect1d(a, b, assume_unique=True)
-        elif which == "union":
-            out = _np.union1d(a, b)
-        else:
-            out = _np.setdiff1d(a, b, assume_unique=True)
-        return out.tolist()
-    sa, sb = set(set_a), set(set_b)
-    if which == "intersection":
-        return sorted(sa & sb)
+    """The kernel's result as a sorted int64 ndarray, computed without
+    the processor.  Operands are sorted and duplicate-free (lists or
+    ndarrays)."""
+    a = _np.asarray(set_a, dtype=_np.int64)
+    b = _np.asarray(set_b, dtype=_np.int64)
     if which == "union":
-        return sorted(sa | sb)
-    return sorted(sa - sb)
+        merged = _np.concatenate((a, b))
+        # Two sorted runs: the stable sort is a linear merge.
+        merged.sort(kind="stable")
+        keep = _np.empty(merged.size, dtype=bool)
+        keep[:1] = True
+        _np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+        return merged[keep]
+    if b.size:
+        found = b[_np.minimum(_np.searchsorted(b, a), b.size - 1)] == a
+    else:
+        found = _np.zeros(a.size, dtype=bool)
+    return a[found] if which == "intersection" else a[~found]
 
 
 def sort_result(values):
-    if len(values) >= _NUMPY_CUTOVER:
-        return _np.sort(_np.asarray(values, dtype=_np.int64)).tolist()
-    return sorted(values)
+    """*values* sorted, as an int64 ndarray."""
+    return _np.sort(_np.asarray(values, dtype=_np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +272,10 @@ def scalar_set_features(which, set_a, set_b):
 def _contains(sorted_values, value):
     index = bisect.bisect_left(sorted_values, value)
     return index < len(sorted_values) and sorted_values[index] == value
+
+
+#: Below this operand size the numpy call overhead beats C-level sets.
+_NUMPY_CUTOVER = 64
 
 
 def _common_below(set_a, count_a, set_b, count_b):
@@ -337,187 +340,198 @@ def scalar_sort_features(values):
 
 
 # ---------------------------------------------------------------------------
-# feature extraction: EIS set kernels (lean datapath walk)
+# feature extraction: EIS set kernels (window chase)
 # ---------------------------------------------------------------------------
 
-class _WalkError(Exception):
-    """The lean walk hit a state it cannot model; fall back to ISS."""
-
-
-_SET_WALK_OPS = {"intersection": 0, "union": 1, "difference": 2}
+class _CountMismatch(Exception):
+    """The chase's output count disagrees with the computed result;
+    fall back to the ISS."""
 
 
 def eis_set_features(which, set_a, set_b, partial_load,
                      unroll=DEFAULT_UNROLL):
-    """[1, k, wraps, block_loads, block_stores, flush_lanes, result].
+    """``([1, k, wraps, block_loads, block_stores, flush_lanes], total)``.
 
     ``k`` is the number of ``store_sop`` bundles the kernel executes
     (the single data-dependent quantity of the Figure 11 loop), and
     ``wraps`` the resulting back-jump count of the ``unroll``-deep
     loop body.  The trailing features cover the 128-bit loads/stores
     and the sub-block flush tail so configurations with non-zero
-    memory wait states stay in-model.
+    memory wait states stay in-model; ``total`` is the kernel's
+    output count.
 
-    The walk mirrors :class:`repro.core.datapath.SetDatapath` op for
-    op (ST, SOP, ST_S, LDP, LD in the fused-bundle order — identical
-    on 1- and 2-LSU cores), but exploits that the comparison window
-    and the Load stage always hold *contiguous slices* of the sorted,
-    duplicate-free operands: the entire datapath state reduces to a
-    handful of integers per side (window start/valid, staged load
-    count) plus FIFO/store occupancy, and each SOP step to a few
-    comparisons against the threshold ``min(max A lane, max B lane)``
-    (:mod:`repro.core.sop` semantics) — no window vectors, no sentinel
-    padding.
+    ``k`` comes from a *window chase* over the sorted, duplicate-free
+    operands (see the notes before :func:`_merged_ranks`): one
+    Python step per SOP bundle, a few integers of state per side, and
+    closed forms for everything the datapath does between bundles.
     """
-    op = _SET_WALK_OPS[which]
-    len_a = len(set_a)
-    len_b = len(set_b)
-    aws = bws = 0  # window start: element index into the operand
-    av = bv = 0  # valid (unconsumed) window lanes
-    la = lb = 0  # elements staged in the Load state
-    result_cnt = fifo_cnt = store_cnt = 0
-    stored = 0
-    block_loads = block_stores = 0
-    # kernel prologue: sop_init, ld_a, ld_b, ldp_a, ldp_b
-    if len_a:
-        la = LANES if len_a >= LANES else len_a
-        block_loads += 1
-        av, la = la, 0
-    if len_b:
-        lb = LANES if len_b >= LANES else len_b
-        block_loads += 1
-        bv, lb = lb, 0
-    iterations = 0
-    limit = 4 * (len_a + len_b) + 64
-    while True:
-        # ST: retire a completed 128-bit store block
-        if store_cnt == LANES:
-            stored += LANES
-            store_cnt = 0
-            block_stores += 1
-        # SOP: stall on FIFO pressure or an empty-but-pending window
-        if result_cnt:
-            raise _WalkError("SOP before ST_S drained results")
-        if fifo_cnt <= 3 * LANES \
-                and not (av == 0 and aws < len_a) \
-                and not (bv == 0 and bws < len_b) \
-                and (av or bv):
-            if av and bv:
-                max_a = set_a[aws + av - 1]
-                max_b = set_b[bws + bv - 1]
-                if max_a <= max_b:
-                    threshold = max_a
-                    ca = av
-                    cb = 0
-                    while cb < bv and set_b[bws + cb] <= threshold:
-                        cb += 1
-                else:
-                    threshold = max_b
-                    cb = bv
-                    ca = 0
-                    while ca < av and set_a[aws + ca] <= threshold:
-                        ca += 1
-            elif av:  # B exhausted: drain A
-                ca, cb = av, 0
-            else:  # A exhausted: drain B
-                ca, cb = 0, bv
-            overlap = 0
-            if ca and cb:
-                i, j = aws, bws
-                end_a, end_b = aws + ca, bws + cb
-                while i < end_a and j < end_b:
-                    x = set_a[i]
-                    y = set_b[j]
-                    if x < y:
-                        i += 1
-                    elif y < x:
-                        j += 1
-                    else:
-                        overlap += 1
-                        i += 1
-                        j += 1
-            if op == 0:
-                result_cnt = overlap
-            elif op == 2:
-                result_cnt = ca - overlap
+    a = _np.asarray(set_a, dtype=_np.int64)
+    b = _np.asarray(set_b, dtype=_np.int64)
+    len_a = int(a.size)
+    len_b = int(b.size)
+    if len_a and len_b:
+        steps, last_emitted, common = _chase_steps(
+            which, a, b, partial_load)
+    else:
+        # One side empty from the start: the other drains from the
+        # prologue state (the window of the first block, nothing
+        # staged behind it).
+        length = len_a or len_b
+        window = LANES if length > LANES else length
+        steps = _drain_steps(0, window, window, length)
+        last_emitted = which == "union" or (which == "difference"
+                                            and len_a > 0)
+        common = 0
+    if which == "intersection":
+        total = common
+    elif which == "union":
+        total = len_a + len_b - common
+    else:
+        total = len_a - common
+    k = steps + 1 if last_emitted or not steps else steps
+    return [1, k, (k - 1) // unroll,
+            -(-len_a // LANES) + -(-len_b // LANES),
+            total // LANES, total % LANES], total
+
+
+# The chase.  Per side X the datapath state is three integers: ``s``
+# (elements consumed), ``w`` (end of the comparison window, which
+# holds X[s:w]) and ``f`` (load frontier: window plus the Load stage).
+# The prologue leaves ``w = f = min(4, n)``.  One SOP bundle then
+#
+# 1. takes the threshold ``thr = min(A[wa-1], B[wb-1])``;
+# 2. consumes every window lane ``<= thr`` on both sides, so ``s``
+#    moves to ``bisect_right(X, thr, s, w)``; both sides end the step
+#    consumed exactly up to ``thr``;
+# 3. union only: result states are four wide, so a step that would
+#    emit more than four distinct values stops both sides at the
+#    fourth distinct merged value instead;
+# 4. refills the window from the Load stage -- ``w = min(s+4, f)``
+#    with partial loading, ``min((s|3)+1, f)`` (whole blocks only)
+#    without -- and stages the next 128-bit block once the Load stage
+#    is empty, which keeps the frontier at ``f = min((w|3)+1, n)``.
+#
+# Values are compared through their ranks in the merged (union) order,
+# so "consumed up to thr" is one integer ``m`` (merged values
+# consumed), the union cut is ``m <= m_before + 4`` and a side's new
+# ``s`` is the count of its window ranks below ``m``.  A step whose
+# window on either side is empty while elements are still pending is a
+# stall bundle (it consumes nothing); only the first block's
+# consumption can cause one, before the second block is staged.  The
+# result FIFO never throttles SOP: a bundle adds at most four values
+# and the store stage drains four.  Once one side is exhausted, the
+# other drains one window per bundle, in closed form
+# (:func:`_drain_steps`).  The loop ends with the bundle after the last
+# one that emitted results (it moves them to the FIFO), so
+# ``k = steps + [last step emitted > 0]``.
+
+def _merged_ranks(a, b):
+    """Rank of every element of *a* and of *b* in their merged,
+    duplicate-free order, as two lists."""
+    both = _np.concatenate((a, b))
+    # Two sorted runs: the stable argsort is a linear merge.
+    order = _np.argsort(both, kind="stable")
+    merged = both[order]
+    fresh = _np.empty(merged.size, dtype=_np.int64)
+    fresh[:1] = 0
+    _np.not_equal(merged[1:], merged[:-1], out=fresh[1:])
+    ranks = _np.empty(merged.size, dtype=_np.int64)
+    ranks[order] = _np.cumsum(fresh)
+    return ranks[:a.size].tolist(), ranks[a.size:].tolist()
+
+
+def _chase_steps(which, a, b, partial_load):
+    """``(steps, last step emitted > 0, |A & B|)`` for non-empty
+    operand arrays *a*, *b*."""
+    len_a = int(a.size)
+    len_b = int(b.size)
+    rank_a, rank_b = _merged_ranks(a, b)
+    cut = which == "union"
+    bisect_left = bisect.bisect_left
+    # Refill: ``w = (s | grain) + reach`` is ``s + 4`` with partial
+    # loading and ``(s | 3) + 1`` (the block end) without.
+    grain, reach = (0, LANES) if partial_load else (LANES - 1, 1)
+    sa = sb = merged = 0
+    wa = fa = LANES if len_a > LANES else len_a
+    wb = fb = LANES if len_b > LANES else len_b
+    steps = 0
+    while sa < len_a and sb < len_b:
+        # A stall bundle (a window empty, elements pending) needs no
+        # case of its own: only a step's leader is ever consumed whole,
+        # so the empty window's top is the threshold just reached and
+        # this step consumes nothing.
+        steps += 1
+        start_a = sa
+        start_b = sb
+        start = merged
+        top_a = rank_a[wa - 1]
+        top_b = rank_b[wb - 1]
+        if top_a <= top_b:
+            merged = top_a + 1
+            if cut and merged - start > LANES:
+                merged = start + LANES
+                sa = bisect_left(rank_a, merged, sa, wa)
             else:
-                result_cnt = ca + cb - overlap
-                if result_cnt > LANES:
-                    # Result states are 4 wide: cut consumption back
-                    # to the fourth distinct merged value (value-
-                    # boundary cut keeps the both-copies invariant).
-                    i, j = aws, bws
-                    end_a, end_b = aws + ca, bws + cb
-                    cut = 0
-                    for _ in range(LANES):
-                        x = set_a[i] if i < end_a else None
-                        y = set_b[j] if j < end_b else None
-                        if y is None or (x is not None and x < y):
-                            cut = x
-                            i += 1
-                        elif x is None or y < x:
-                            cut = y
-                            j += 1
-                        else:
-                            cut = x
-                            i += 1
-                            j += 1
-                    ca = 0
-                    while ca < av and set_a[aws + ca] <= cut:
-                        ca += 1
-                    cb = 0
-                    while cb < bv and set_b[bws + cb] <= cut:
-                        cb += 1
-                    result_cnt = LANES
-            aws += ca
-            av -= ca
-            bws += cb
-            bv -= cb
-        iterations += 1
-        if not (av or bv or result_cnt or store_cnt
-                or fifo_cnt >= LANES
-                or aws + av < len_a or bws + bv < len_b):
-            break
-        if iterations > limit:
-            raise _WalkError("set walk failed to converge")
-        # ST_S: results -> FIFO, FIFO -> store stage when it is free
-        if result_cnt:
-            fifo_cnt += result_cnt
-            result_cnt = 0
-        if store_cnt == 0 and fifo_cnt >= LANES:
-            fifo_cnt -= LANES
-            store_cnt = LANES
-        # LDP: refill windows from the Load state (all consumed lanes
-        # with partial loading, whole drained windows without)
-        want = LANES - av if partial_load \
-            else (LANES if av == 0 else 0)
-        if want and la:
-            take = want if want < la else la
-            av += take
-            la -= take
-        want = LANES - bv if partial_load \
-            else (LANES if bv == 0 else 0)
-        if want and lb:
-            take = want if want < lb else lb
-            bv += take
-            lb -= take
-        # LD: stage the next 128-bit block once the Load state drains
-        if not la:
-            staged = aws + av
-            if staged < len_a:
-                remaining = len_a - staged
-                la = LANES if remaining >= LANES else remaining
-                block_loads += 1
-        if not lb:
-            staged = bws + bv
-            if staged < len_b:
-                remaining = len_b - staged
-                lb = LANES if remaining >= LANES else remaining
-                block_loads += 1
-    flush_lanes = store_cnt + fifo_cnt
-    total = stored + flush_lanes
-    return [1, iterations, (iterations - 1) // unroll,
-            block_loads, block_stores, flush_lanes], total
+                sa = wa
+            sb = bisect_left(rank_b, merged, sb, wb)
+        else:
+            merged = top_b + 1
+            if cut and merged - start > LANES:
+                merged = start + LANES
+                sb = bisect_left(rank_b, merged, sb, wb)
+            else:
+                sb = wb
+            sa = bisect_left(rank_a, merged, sa, wa)
+        wa = (sa | grain) + reach
+        if wa > fa:
+            wa = fa
+        wb = (sb | grain) + reach
+        if wb > fb:
+            wb = fb
+        fa = (wa | 3) + 1
+        if fa > len_a:
+            fa = len_a
+        fb = (wb | 3) + 1
+        if fb > len_b:
+            fb = len_b
+    if sa < len_a:
+        drained = _drain_steps(sa, wa, fa, len_a)
+        emitted = which != "intersection"
+    elif sb < len_b:
+        drained = _drain_steps(sb, wb, fb, len_b)
+        emitted = cut
+    else:
+        drained = 0
+        # The last step consumed ``fresh`` merged values, of which
+        # ``consumed - fresh`` were on both sides.
+        fresh = merged - start
+        if which == "intersection":
+            emitted = sa - start_a + sb - start_b > fresh
+        elif which == "difference":
+            emitted = fresh > sb - start_b
+        else:
+            emitted = True
+    union_size = max(rank_a[-1], rank_b[-1]) + 1
+    return steps + drained, emitted, len_a + len_b - union_size
+
+
+def _drain_steps(s, w, f, n):
+    """Bundles one side needs to drain ``X[s:n]`` alone.
+
+    Every bundle consumes its whole window; after the current window
+    the next ends at the frontier and each later one is a full block,
+    so ``ceil(n/4) - floor(w/4)`` more windows follow a window ending
+    before ``n``.  An empty window with elements pending costs a stall
+    bundle, and so does the window of the prologue state (``f == w``),
+    whose refill finds the Load stage empty.
+    """
+    if s == n:
+        return 0
+    if s == w:
+        return 1 + -(-n // LANES) - w // LANES
+    if w == n:
+        return 1
+    return 1 + -(-n // LANES) - w // LANES + (f == w)
 
 
 # ---------------------------------------------------------------------------
@@ -662,35 +676,39 @@ class CostModel:
         """Model one set kernel; ``(values, cycles, source)``.
 
         Operands may be plain lists or NumPy arrays (the columnar
-        storage layer hands over ndarray scan results directly); the
-        kernel walk, features and calibration always see lists.
+        storage layer hands over ndarray scan results directly);
+        *values* is always a sorted int64 ndarray.  The result is
+        computed once per operation, and the EIS prediction checks its
+        output count against it.
         """
-        set_a = _operand_list(set_a)
-        set_b = _operand_list(set_b)
         extension = _eis_extension(processor)
         if extension is not None:
             partial = bool(extension.setdp.partial_load)
             kind = ("eis_set", which, partial, unroll)
 
             def runner(proc, a, b):
-                return run_set_operation(proc, which, a, b,
+                return run_set_operation(proc, which, operand_list(a),
+                                         operand_list(b),
                                          unroll=unroll,
                                          validate_input=False)
 
-            def features(a, b):
+            def features(a, b, values):
                 computed, total = eis_set_features(which, a, b, partial,
                                                    unroll)
-                if total != len(set_result(which, a, b)):
-                    raise _WalkError("walk/result count mismatch")
+                if total != len(values):
+                    raise _CountMismatch("chase/result count mismatch")
                 return computed
         else:
             kind = ("scalar_set", which)
+            # The scalar kernels and their feature walk take lists.
+            set_a = operand_list(set_a)
+            set_b = operand_list(set_b)
 
             def runner(proc, a, b):
                 return run_scalar_set_operation(proc, which, a, b,
                                                 validate_input=False)
 
-            def features(a, b):
+            def features(a, b, _values):
                 return scalar_set_features(which, a, b)
 
         def result(a, b):
@@ -703,29 +721,31 @@ class CostModel:
         """Model one sort kernel; ``(values, cycles, source)``.
 
         *values* may be a list or a NumPy array (see
-        :meth:`set_operation`).
+        :meth:`set_operation`); the sorted output is an int64 ndarray.
         """
-        values = _operand_list(values)
         extension = _eis_extension(processor)
         if extension is not None:
             kind = ("eis_sort",)
 
             def runner(proc, data):
-                return run_merge_sort(proc, data, validate_input=False)
+                return run_merge_sort(proc, operand_list(data),
+                                      validate_input=False)
 
-            def features(data):
+            def features(data, _values):
                 return eis_sort_features(len(data))
         else:
+            # The scalar kernel and its feature walk take lists.
+            values = operand_list(values)
             if not values:
                 # mirror run_scalar_merge_sort's degenerate empty run
-                return [], 0, "costmodel"
+                return _np.empty(0, dtype=_np.int64), 0, "costmodel"
             kind = ("scalar_sort",)
 
             def runner(proc, data):
                 return run_scalar_merge_sort(proc, data,
                                              validate_input=False)
 
-            def features(data):
+            def features(data, _values):
                 return scalar_sort_features(data)
 
         probes, validation = _sort_probes()
@@ -744,37 +764,38 @@ class CostModel:
 
     def _execute(self, processor, kind, runner, feature_fn, result_fn,
                  probe_sets, args):
+        """*feature_fn(*args, values)* sees the one computed result."""
         coefficients = None
         if self.enabled and getattr(processor, "_fault_hook",
                                     None) is None:
             coefficients = self._calibration(processor, kind, runner,
-                                             feature_fn, probe_sets)
-        if coefficients is None:
-            values, run = runner(processor, *args)
+                                             feature_fn, result_fn,
+                                             probe_sets)
+        if coefficients is not None:
+            values = result_fn(*args)
+            try:
+                cycles = _predict(coefficients,
+                                  feature_fn(*args, values))
+            except _CountMismatch:
+                cycles = None
+        if coefficients is None or cycles is None:
+            iss_values, run = runner(processor, *args)
             self.counters["fallbacks"] += 1
-            return values, run.cycles, "iss"
-        try:
-            features = feature_fn(*args)
-        except _WalkError:
-            features = None
-        cycles = _predict(coefficients, features) \
-            if features is not None else None
-        if cycles is None:
-            values, run = runner(processor, *args)
-            self.counters["fallbacks"] += 1
-            return values, run.cycles, "iss"
-        values = result_fn(*args)
+            return _np.asarray(iss_values, dtype=_np.int64), \
+                run.cycles, "iss"
         if self.verify:
             iss_values, iss_run = runner(processor, *args)
-            if iss_values != values or iss_run.cycles != cycles:
+            if iss_values != values.tolist() \
+                    or iss_run.cycles != cycles:
                 self.counters["mismatches"] += 1
                 self.counters["fallbacks"] += 1
-                return iss_values, iss_run.cycles, "iss"
+                return _np.asarray(iss_values, dtype=_np.int64), \
+                    iss_run.cycles, "iss"
         self.counters["hits"] += 1
         return values, cycles, "costmodel"
 
     def _calibration(self, processor, kind, runner, feature_fn,
-                     probe_sets):
+                     result_fn, probe_sets):
         signature = config_signature(processor)
         if signature is None:
             return None
@@ -782,7 +803,7 @@ class CostModel:
         if key in _CALIBRATIONS:
             return _CALIBRATIONS[key]
         coefficients = self._calibrate(processor, runner, feature_fn,
-                                       probe_sets)
+                                       result_fn, probe_sets)
         _CALIBRATIONS[key] = coefficients
         if coefficients is None:
             self.counters["calibration_failures"] += 1
@@ -790,14 +811,15 @@ class CostModel:
             self.counters["calibrations"] += 1
         return coefficients
 
-    def _calibrate(self, processor, runner, feature_fn, probe_sets):
+    def _calibrate(self, processor, runner, feature_fn, result_fn,
+                   probe_sets):
         """Fit and differentially validate one (config, kernel) model."""
         probes, validation = probe_sets
         rows = []
         cycles = []
         try:
             for args in probes:
-                rows.append(feature_fn(*args))
+                rows.append(feature_fn(*args, result_fn(*args)))
                 _values, run = runner(processor, *args)
                 cycles.append(run.cycles)
             solution = solve_exact(rows, cycles)
@@ -805,13 +827,15 @@ class CostModel:
                 return None
             coefficients = _scale_coefficients(solution)
             for args in validation:
-                predicted = _predict(coefficients, feature_fn(*args))
+                predicted = _predict(coefficients,
+                                     feature_fn(*args, result_fn(*args)))
                 _values, run = runner(processor, *args)
                 if predicted != run.cycles:
                     return None
         except Exception:
-            # any probe failure (walk divergence, simulation error,
-            # unexpected input shape) means "cannot model": fall back
+            # any probe failure (chase/result divergence, simulation
+            # error, unexpected input shape) means "cannot model":
+            # fall back
             return None
         return coefficients
 

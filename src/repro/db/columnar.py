@@ -24,9 +24,9 @@ over NumPy struct-of-arrays storage:
   scans read a parallel RID-ordered view of the column, so their
   results are born RID-sorted — no per-call ``sorted()``.
 
-Scan results cross back into the engine as plain Python lists of
-``int``: the EIS kernels, the calibrated cost model and the parity
-suites all speak sorted RID lists.
+Scan results cross back into the engine as sorted int64 RID ndarrays
+(fresh arrays, never views of the postings): the cost model and the
+executor keep them as ndarrays up to the query's result boundary.
 """
 
 import numpy as _np
@@ -203,11 +203,12 @@ class ColumnarTable:
                                   in self._data.items()}
 
     def all_rids(self):
-        """Sorted live RIDs as a plain list (the full-scan operand)."""
+        """Sorted live RIDs (the full-scan operand), as a read-only
+        int64 ndarray memoized per version."""
         cached = self._memo.get("all_rids")
         if cached is None:
-            mask = self._weights > 0
-            cached = self._rids[mask].tolist()
+            cached = self._rids[self._weights > 0]
+            cached.flags.writeable = False
             self._memo["all_rids"] = cached
         return cached
 
@@ -236,7 +237,7 @@ class ColumnarTable:
         names = list(column_names or self._data)
         if not len(rids):
             return []
-        positions = self._positions_of(_np.asarray(list(rids),
+        positions = self._positions_of(_np.asarray(rids,
                                                    dtype=_np.int64))
         columns = [self._data[name][positions].tolist()
                    for name in names]
@@ -465,12 +466,10 @@ class ColumnarIndex:
         return rids[self._table._alive[rids]]
 
     def scan_eq(self, value):
-        """RIDs of rows where column == value (sorted list)."""
+        """RIDs of rows where column == value (sorted int64 ndarray)."""
         start = _np.searchsorted(self._keys, value, side="left")
         end = _np.searchsorted(self._keys, value, side="right")
-        if start == end:
-            return []
-        return self._live(self._postings[start:end]).tolist()
+        return self._live(self._postings[start:end])
 
     def scan_range(self, low=None, high=None):
         """RIDs where low <= column <= high, born RID-sorted.
@@ -484,7 +483,7 @@ class ColumnarIndex:
             mask &= values >= low
         if high is not None:
             mask &= values <= high
-        return rids[mask].tolist()
+        return rids[mask]
 
     def scan_in(self, values):
         """RIDs where column is in *values*, born RID-sorted (each
@@ -492,7 +491,7 @@ class ColumnarIndex:
         rids, live_values = self._table._live_view(self.column_name)
         mask = _np.isin(live_values, _np.asarray(list(values),
                                                  dtype=_np.int64))
-        return rids[mask].tolist()
+        return rids[mask]
 
     def count_eq(self, value):
         """Exact matching-row count (tombstones excluded)."""

@@ -61,7 +61,7 @@ class Query:
 
 
 class QueryResult:
-    """Rows + RIDs + per-query :class:`QueryStats`."""
+    """Rows + RIDs (a list of ints) + per-query :class:`QueryStats`."""
 
     __slots__ = ("rows", "rids", "stats")
 
@@ -89,7 +89,7 @@ class StandingQuery:
 
     def __init__(self, query, rids):
         self.query = query
-        self.rids = list(rids)
+        self.rids = rids.tolist()
         self._members = set(self.rids)
 
     def _fold(self, added, removed):
@@ -172,8 +172,9 @@ class QueryEngine:
         self._standing_count = scope.gauge("standing.registered")
         self._standing_updates = scope.counter("standing.updates")
         self._standing_scanned = scope.counter("standing.rows_scanned")
-        #: (id(table), signature) -> RID list; tables are pinned so
-        #: the id() keys stay unique for the engine's lifetime.
+        #: (id(table), signature) -> read-only int64 RID ndarray;
+        #: tables are pinned so the id() keys stay unique for the
+        #: engine's lifetime.
         self._scan_cache = {}
         self._pinned_tables = {}
         #: id(table) -> [StandingQuery, ...]
@@ -350,7 +351,7 @@ class QueryEngine:
                   if tracer is not None else nullcontext()):
                 rows = table.fetch(rids, query.columns)
         self._account(stats, len(rows))
-        return QueryResult(rows, rids, stats)
+        return QueryResult(rows, rids.tolist(), stats)
 
     def _evaluate(self, table, predicate, stats, cse, tracer=None,
                   index=0):
@@ -362,16 +363,18 @@ class QueryEngine:
                 self._scan_hits.add(1)
                 if tracer is not None:
                     with tracer.span("scan.cached", query=index):
-                        return list(cached)
-                return list(cached)
+                        return cached
+                return cached
             scan = tracer.span("scan", query=index) \
                 if tracer is not None else nullcontext()
             with scan:
                 rids = predicate.scan(table)
+            # Cached and handed out uncopied: read-only from here on.
+            rids.flags.writeable = False
             self._pinned_tables[id(table)] = table
             self._scan_cache[key] = rids
             self._scan_misses.add(1)
-            return list(rids)
+            return rids
         if not isinstance(predicate, Combinator):
             raise TypeError("not a predicate: %r" % (predicate,))
         key = (id(table), signature(predicate))
@@ -384,8 +387,8 @@ class QueryEngine:
                 if tracer is not None:
                     with tracer.span("cse", query=index,
                                      cycles_avoided=avoided):
-                        return list(rids)
-                return list(rids)
+                        return rids
+                return rids
         before = stats.cycles
         left = self._evaluate(table, predicate.left, stats, cse,
                               tracer, index)
@@ -403,7 +406,9 @@ class QueryEngine:
                      in stats.cycles_by_source.items()}
             self._record_cycles(tracer, name, delta, index)
         if cse is not None:
-            cse[key] = (list(rids), stats.cycles - before)
+            # Later queries of the batch share it: read-only too.
+            rids.flags.writeable = False
+            cse[key] = (rids, stats.cycles - before)
         return rids
 
     def _record_cycles(self, tracer, name, by_source, index):

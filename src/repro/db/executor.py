@@ -20,8 +20,15 @@ Two execution paths produce those cycle counts:
 
 :class:`QueryStats` attributes cycles to their source (``iss`` vs
 ``costmodel``) so mixed-path runs stay auditable.
+
+RID vectors are sorted int64 ndarrays from the index scan to the
+caller: set operations, ORDER BY and short-circuits all return one, on
+both execution paths.
 """
 
+import numpy as _np
+
+from ..core.costmodel import operand_list
 from ..core.kernels import run_merge_sort, run_set_operation
 from ..core.scalar_kernels import (run_scalar_merge_sort,
                                    run_scalar_set_operation)
@@ -91,7 +98,8 @@ class QueryExecutor:
     # -- WHERE ---------------------------------------------------------------
 
     def where(self, table, predicate):
-        """Evaluate a predicate tree; returns ``(rids, QueryStats)``."""
+        """Evaluate a predicate tree; returns ``(rids, QueryStats)``
+        with *rids* a sorted int64 ndarray."""
         validate_indexes(predicate, table)
         stats = QueryStats()
         rids = self._evaluate(table, predicate, stats)
@@ -114,15 +122,17 @@ class QueryExecutor:
         Empty operands short-circuit without launching a kernel (and
         without charging cycles — identically on the ISS and the
         cost-model paths, so the two stay differentially comparable).
+        A short-circuit may hand back the surviving operand array
+        itself, so callers treat results as read-only.
         """
         if len(left) == 0 or len(right) == 0:
-            # len() instead of truthiness: operands may be ndarrays.
             stats.short_circuits += 1
             if which == "intersection":
-                return []
-            if which == "union":
-                return list(left) if len(left) else list(right)
-            return list(left)  # difference: A - empty = A, empty - B = []
+                return _np.empty(0, dtype=_np.int64)
+            if which == "union" and not len(left):
+                return _np.asarray(right, dtype=_np.int64)
+            # difference: A - empty = A, empty - B = empty
+            return _np.asarray(left, dtype=_np.int64)
         if which == "intersection" and len(right) < len(left):
             # index-ANDing order: smaller list first (Raman et al.)
             left, right = right, left
@@ -137,11 +147,13 @@ class QueryExecutor:
         return result
 
     def _set_operation(self, which, left, right):
-        if self._has_eis:
-            return run_set_operation(self.processor, which, left,
-                                     right, validate_input=False)
-        return run_scalar_set_operation(self.processor, which, left,
-                                        right, validate_input=False)
+        runner = run_set_operation if self._has_eis \
+            else run_scalar_set_operation
+        values, run_result = runner(self.processor, which,
+                                    operand_list(left),
+                                    operand_list(right),
+                                    validate_input=False)
+        return _np.asarray(values, dtype=_np.int64), run_result
 
     # -- ORDER BY -------------------------------------------------------------
 
@@ -156,14 +168,11 @@ class QueryExecutor:
         """
         stats = QueryStats()
         if len(rids) == 0:
-            return [], stats
+            return _np.empty(0, dtype=_np.int64), stats
         packed = self.pack_rids(table, rids, key_column)
         sorted_packed, stats = self.sort_packed(packed, stats)
-        ordered = [value & ((1 << RID_BITS) - 1)
-                   for value in sorted_packed]
-        if descending:
-            ordered.reverse()
-        return ordered, stats
+        ordered = sorted_packed & ((1 << RID_BITS) - 1)
+        return (ordered[::-1] if descending else ordered), stats
 
     def pack_rids(self, table, rids, key_column):
         """``key << RID_BITS | rid`` packed words for a RID list.
@@ -177,16 +186,17 @@ class QueryExecutor:
                 "ORDER BY packing supports up to %d rows; shard or "
                 "widen RID_BITS" % (1 << RID_BITS))
         shifted = self._shifted_keys(table, key_column)
+        rids = _np.asarray(rids, dtype=_np.int64)
         # rid < 2**RID_BITS and the shifted key is a multiple of
         # 2**RID_BITS, so | equals +.
-        return (shifted.take(list(rids)) + list(rids)).tolist()
+        return shifted[rids] + rids
 
     def sort_packed(self, packed, stats=None):
         """Cycle-accounted merge sort of pre-packed key/RID words."""
         if stats is None:
             stats = QueryStats()
         if len(packed) == 0:
-            return [], stats
+            return _np.empty(0, dtype=_np.int64), stats
         stats.sort_operations += 1
         if self.cost_model is not None:
             sorted_packed, cycles, source = self.cost_model.merge_sort(
@@ -221,11 +231,11 @@ class QueryExecutor:
         return shifted
 
     def _sort(self, values):
-        if self._has_eis:
-            return run_merge_sort(self.processor, values,
-                                  validate_input=False)
-        return run_scalar_merge_sort(self.processor, values,
-                                     validate_input=False)
+        runner = run_merge_sort if self._has_eis \
+            else run_scalar_merge_sort
+        values, run_result = runner(self.processor, operand_list(values),
+                                    validate_input=False)
+        return _np.asarray(values, dtype=_np.int64), run_result
 
     # -- full query -----------------------------------------------------------
 

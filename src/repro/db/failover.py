@@ -7,13 +7,14 @@ surviving work, an integrity check on every RID list that crosses the
 modeled interconnect, and a per-shard circuit breaker so a dead
 primary stops eating the deadline budget of every query.
 
-All three are deliberately dependency-free value types — the engine
+All three are small value types that hold no engine state — the engine
 composes them, the chaos harness (:mod:`repro.faults.db`) attacks
 them, and the tests exercise them in isolation.
 """
 
 import zlib
-from array import array
+
+import numpy as _np
 
 #: Circuit breaker states, in ``db.shard.<i>.breaker.state`` gauge
 #: encoding order: closed = 0, open = 1, half-open = 2.
@@ -30,11 +31,13 @@ def rid_checksum(rids):
     channel; the coordinator recomputes on delivery.  Any single
     dropped, flipped, or injected RID changes the value, so corruption
     is *detected* and handled (retransmit, then failover) instead of
-    silently merged into the answer.
+    silently merged into the answer.  Lists and ndarrays of the same
+    RIDs hash alike.
     """
-    if not rids:
+    if not len(rids):
         return 0
-    return zlib.crc32(array("I", [rid & _M32 for rid in rids]).tobytes())
+    words = _np.asarray(rids, dtype=_np.int64) & _M32
+    return zlib.crc32(words.astype("<u4").tobytes())
 
 
 class ShardError(RuntimeError):

@@ -480,7 +480,7 @@ class ShardedEngine:
                         "query %d: shard(s) %s failed after failover"
                         % (index, ", ".join(str(position) for position
                                             in shards_failed)),
-                        outcomes=attempts, survivors=rids,
+                        outcomes=attempts, survivors=rids.tolist(),
                         shard=shards_failed[0], query_index=index)
                 self._fault["degraded"].add(1)
         tail_before = stats.cycles
@@ -507,7 +507,7 @@ class ShardedEngine:
         makespan = (max(shard_cycles) if shard_cycles else 0) \
             + gather_cycles + transfer_cycles + tail_cycles
         self._account(stats, len(rows), makespan, skipped)
-        return ShardedResult(rows, rids, stats, shard_cycles,
+        return ShardedResult(rows, rids.tolist(), stats, shard_cycles,
                              makespan, gather_cycles, transfer_cycles,
                              skipped, complete=not shards_failed,
                              shards_failed=shards_failed,
@@ -565,9 +565,9 @@ class ShardedEngine:
         executor = self.coordinator.executor
         sort_cycle_map = {}
         merge_stats = QueryStats()
-        merged = []
+        merged = _np.empty(0, dtype=_np.int64)
         for position, rids in per_shard:
-            if not rids:
+            if not len(rids):
                 continue
             packed = executor.pack_rids(table, rids, query.order_by)
             shard_sorted, shard_stats = \
@@ -580,10 +580,9 @@ class ShardedEngine:
             self._sort_merges.add(1)
         _merge_stats(stats, merge_stats)
         self._sort_merge_cycles.add(merge_stats.cycles)
-        mask = (1 << RID_BITS) - 1
-        ordered = [value & mask for value in merged]
+        ordered = merged & ((1 << RID_BITS) - 1)
         if query.descending:
-            ordered.reverse()
+            ordered = ordered[::-1]
         return ordered, sort_cycle_map
 
     def _serve_shard(self, position, hosts, shard, predicate, cse,
@@ -735,7 +734,6 @@ class ShardedEngine:
             return ("killed", None, None, 0)
         if payload is not None:
             rids, checksum, stats = payload
-            rids = list(rids)
         else:
             engine = self.shard_engines[host]
             shard_cse = cse[position] if cse is not None else None
@@ -784,7 +782,7 @@ class ShardedEngine:
         skipped = 0
         failovers = 0
         shards_failed = []
-        merged = []
+        merged = _np.empty(0, dtype=_np.int64)
         for position, entry in enumerate(per_shard):
             scope = self._shard_scopes[position]
             if entry[0] == "skipped":
@@ -805,7 +803,7 @@ class ShardedEngine:
             scope["rows"].add(len(rids))
             shard_cycles[position] = charged
             _merge_stats(combined, stats)
-            if rids:
+            if len(rids):
                 cycles = self.interconnect.transfer_cycles(
                     RID_BYTES * len(rids))
                 gather_stats.add_cycles(cycles, "interconnect")

@@ -87,7 +87,7 @@ def run(set_size=5000, sort_size=6500, selectivity=0.5, seed=42,
                 values, run_result = run_set_operation(
                     processor, which, set_a, set_b)
                 cycles = run_result.cycles
-            if check_results and values != truth[which]:
+            if check_results and list(values) != truth[which]:
                 raise AssertionError("%s produced a wrong %s result"
                                      % (name, which))
             elements = len(set_a) + len(set_b)
@@ -102,7 +102,7 @@ def run(set_size=5000, sort_size=6500, selectivity=0.5, seed=42,
         else:
             values, run_result = run_merge_sort(processor, sort_values)
             cycles = run_result.cycles
-        if check_results and values != truth["sort"]:
+        if check_results and list(values) != truth["sort"]:
             raise AssertionError("%s produced a wrong sort result" % name)
         row.append(len(sort_values) * fmax / cycles if cycles else 0.0)
         result_rows.append(row)

@@ -44,7 +44,7 @@ def run(sort_size=6500, swsort_sample=8192, seed=42,
     else:
         output, run_result = run_merge_sort(processor, values)
         cycles = run_result.cycles
-    if output != sorted(values):
+    if list(output) != sorted(values):
         raise AssertionError("hwsort produced a wrong result")
     hw_throughput = len(values) * report.fmax_mhz / cycles \
         if cycles else 0.0

@@ -230,7 +230,7 @@ class DbFaultInjector:
         fault = self._corrupts.get((shard, query_index))
         if fault is None:
             return rids, False
-        rids = list(rids)
+        rids = [int(rid) for rid in rids]
         count = len(rids)
         if fault.mode == "drop":
             if not count:

@@ -9,9 +9,9 @@ real ISS run and counts any divergence as a mismatch.
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.configs.catalog import build_processor
 from repro.core.costmodel import (CostModel, calibration_cache_size,
                                   clear_calibration_cache,
                                   config_signature, default_cost_model,
@@ -55,15 +55,38 @@ class TestPrimitives:
 
     def test_set_result_matches_set_algebra(self):
         rng = random.Random(3)
+        pairs = [([], []), ([], [2, 5]), ([1, 9], []), ([7], [7]),
+                 ([1, 2, 3], [4, 5, 6]), ([4, 5, 6], [1, 2, 3])]
         for _ in range(10):
-            a, b = generate_set_pair(rng.randrange(1, 200),
-                                     selectivity=rng.random(),
-                                     seed=rng.randrange(10 ** 6))
-            assert set_result("intersection", a, b) == \
-                sorted(set(a) & set(b))
-            assert set_result("union", a, b) == sorted(set(a) | set(b))
-            assert set_result("difference", a, b) == \
-                sorted(set(a) - set(b))
+            pairs.append(generate_set_pair(rng.randrange(1, 200),
+                                           selectivity=rng.random(),
+                                           seed=rng.randrange(10 ** 6)))
+        for a, b in pairs:
+            expected = {
+                "intersection": sorted(set(a) & set(b)),
+                "union": sorted(set(a) | set(b)),
+                "difference": sorted(set(a) - set(b)),
+            }
+            arrays = (np.asarray(a, dtype=np.int64),
+                      np.asarray(b, dtype=np.int64))
+            for which in SET_OPS:
+                for operands in ((a, b), arrays):
+                    got = set_result(which, *operands)
+                    assert got.dtype == np.int64
+                    assert got.tolist() == expected[which]
+
+    def test_set_result_never_aliases_an_operand(self):
+        """Operands may be read-only scan-cache entries; results are
+        always fresh arrays."""
+        a = np.asarray([1, 3, 5], dtype=np.int64)
+        a.flags.writeable = False
+        for b in (np.asarray([], dtype=np.int64),
+                  np.asarray([3], dtype=np.int64)):
+            for which in SET_OPS:
+                for operands in ((a, b), (b, a)):
+                    got = set_result(which, *operands)
+                    assert not any(np.shares_memory(got, operand)
+                                   for operand in operands)
 
     def test_eis_walk_output_count_matches_result(self):
         rng = random.Random(4)
@@ -99,7 +122,7 @@ class TestDifferentialExactness:
             for a, b in _trial_pairs(rng, 5):
                 values, cycles, source = model.set_operation(
                     processor, which, a, b)
-                assert values == set_result(which, a, b)
+                assert values.tolist() == set_result(which, a, b).tolist()
                 assert source == "costmodel", (name, partial)
         stats = model.stats()
         assert stats["mismatches"] == 0
@@ -114,7 +137,7 @@ class TestDifferentialExactness:
             for a, b in _trial_pairs(rng, 4):
                 values, cycles, source = model.set_operation(
                     processor, which, a, b)
-                assert values == set_result(which, a, b)
+                assert values.tolist() == set_result(which, a, b).tolist()
                 assert source == "costmodel"
         stats = model.stats()
         assert stats["mismatches"] == 0
@@ -131,7 +154,7 @@ class TestDifferentialExactness:
                                        seed=rng.randrange(10 ** 6))
                 output, cycles, source = model.merge_sort(processor,
                                                           values)
-                assert output == sorted(values)
+                assert output.tolist() == sorted(values)
                 assert source == "costmodel"
         assert model.stats()["mismatches"] == 0
         assert model.stats()["fallbacks"] == 0
@@ -145,14 +168,14 @@ class TestDifferentialExactness:
                                        seed=rng.randrange(10 ** 6))
                 output, cycles, source = model.merge_sort(processor,
                                                           values)
-                assert output == sorted(values)
+                assert output.tolist() == sorted(values)
                 assert source == "costmodel"
         assert model.stats()["mismatches"] == 0
 
     def test_scalar_empty_sort_costs_zero_like_iss(self, mini_108):
         model = CostModel()
         output, cycles, source = model.merge_sort(mini_108, [])
-        assert output == [] and cycles == 0
+        assert output.tolist() == [] and cycles == 0
 
 
 class TestFallbacks:
@@ -164,7 +187,7 @@ class TestFallbacks:
         values, cycles, source = model.set_operation(
             cached, "intersection", [1, 2, 3], [2, 3, 4])
         assert source == "iss"
-        assert values == [2, 3]
+        assert values.tolist() == [2, 3]
         assert cycles > 0
         assert model.stats()["fallbacks"] == 1
         assert model.stats()["hits"] == 0
@@ -174,7 +197,7 @@ class TestFallbacks:
         values, cycles, source = model.set_operation(
             eis_2lsu_partial, "union", [1, 3], [2, 3])
         assert source == "iss"
-        assert values == [1, 2, 3]
+        assert values.tolist() == [1, 2, 3]
 
     def test_armed_fault_hook_forces_iss(self, eis_2lsu_partial,
                                          monkeypatch):
@@ -226,7 +249,7 @@ class TestExecutorIntegration:
                              cost_model=CostModel())
         rids_iss, stats_iss = iss.where(table, predicate)
         rids_fast, stats_fast = fast.where(table, predicate)
-        assert rids_fast == rids_iss
+        assert rids_fast.tolist() == rids_iss.tolist()
         assert stats_fast.cycles == stats_iss.cycles
         assert stats_iss.cycles_by_source["costmodel"] == 0
         assert stats_fast.cycles_by_source["iss"] == 0
@@ -235,7 +258,7 @@ class TestExecutorIntegration:
 
         ordered_iss, sort_iss = iss.order_by(table, rids_iss, "v")
         ordered_fast, sort_fast = fast.order_by(table, rids_fast, "v")
-        assert ordered_fast == ordered_iss
+        assert ordered_fast.tolist() == ordered_iss.tolist()
         assert sort_fast.cycles == sort_iss.cycles
 
     def test_short_circuit_is_identical_on_both_paths(
@@ -244,12 +267,35 @@ class TestExecutorIntegration:
             executor = QueryExecutor(eis_2lsu_partial,
                                      cost_model=cost_model)
             stats = QueryStats()
-            assert executor.set_operation("intersection", [], [1, 2],
-                                          stats) == []
-            assert executor.set_operation("union", [], [1, 2],
-                                          stats) == [1, 2]
-            assert executor.set_operation("difference", [1, 2], [],
-                                          stats) == [1, 2]
+            for which, left, right, expected in (
+                    ("intersection", [], [1, 2], []),
+                    ("union", [], [1, 2], [1, 2]),
+                    ("difference", [1, 2], [], [1, 2])):
+                got = executor.set_operation(which, left, right, stats)
+                assert got.dtype == np.int64
+                # Plain ints out, not numpy scalars.
+                assert [type(rid) for rid in got.tolist()] \
+                    == [int] * len(expected)
+                assert got.tolist() == expected
             assert stats.short_circuits == 3
             assert stats.cycles == 0
             assert stats.set_operations == 0
+
+
+class TestServingUnderVerify:
+    """A served query batch: every prediction shadowed by the ISS."""
+
+    @pytest.mark.parametrize("partial", (True, False))
+    def test_demo_batch_has_no_mismatches(self, eis_2lsu_partial,
+                                          eis_2lsu_nopartial, partial):
+        from repro.db.bench import build_demo_table, demo_queries
+        from repro.db.engine import QueryEngine
+        processor = eis_2lsu_partial if partial else eis_2lsu_nopartial
+        model = CostModel(verify=True)
+        engine = QueryEngine(processor=processor, cost_model=model)
+        table = build_demo_table(rows=2000, seed=11)
+        engine.execute_batch(demo_queries(table, count=48, seed=5))
+        stats = model.stats()
+        assert stats["hits"] > 0
+        assert stats["mismatches"] == 0
+        assert stats["fallbacks"] == 0

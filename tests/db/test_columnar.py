@@ -106,21 +106,21 @@ class TestIndexScanParity:
 
     def test_scan_eq(self, table):
         for value in range(-1, COLUMNS["status"] + 1):
-            assert table.index("status").scan_eq(value) \
+            assert table.index("status").scan_eq(value).tolist() \
                 == oracle.where(table, Eq("status", value))
 
     def test_scan_range(self, table):
         probes = [(0, 599), (100, 400), (None, 250), (250, None),
                   (None, None), (400, 100), (598, 598)]
         for low, high in probes:
-            assert table.index("price").scan_range(low, high) \
+            assert table.index("price").scan_range(low, high).tolist() \
                 == oracle.where(table, Range("price", low, high))
 
     def test_scan_in_with_duplicate_probes(self, table):
         """Each matching row once, whatever the probe order or
         multiplicity."""
         for probe in [(1, 3, 5), (5, 3, 1), (2, 2), (), (9, 11)]:
-            assert table.index("region").scan_in(probe) \
+            assert table.index("region").scan_in(probe).tolist() \
                 == oracle.where(table, In("region", probe))
 
     def test_counts_and_distinct(self, table):
@@ -213,7 +213,7 @@ class TestDeltaEquivalence:
 
     def test_ghost_rows_never_observable(self):
         table = indexed(ColumnarTable("t", make_columns(50, 3)))
-        before = table.all_rids()
+        before = table.all_rids().tolist()
         batch = DeltaBatch(
             inserts={"status": [1, 2], "region": [0, 1],
                      "price": [10, 20]},
@@ -222,10 +222,10 @@ class TestDeltaEquivalence:
         assert outcome["annihilated"] == 2
         assert len(outcome["insert_rids"]) == 0
         assert len(outcome["deleted_rids"]) == 0
-        assert table.all_rids() == before
+        assert table.all_rids().tolist() == before
         # ...but the annihilated rows still consumed RID space.
         assert table.rid_limit() == 52
-        assert table.index("status").scan_eq(1) == [
+        assert table.index("status").scan_eq(1).tolist() == [
             rid for rid in before
             if table.fetch([rid])[0]["status"] == 1]
 
@@ -238,13 +238,13 @@ class TestDeltaEquivalence:
             victims = sorted(rng.sample(live, 10))
             table.apply_delta(DeltaBatch(delete_rids=victims))
             live = [rid for rid in live if rid not in set(victims)]
-            assert table.all_rids() == live
+            assert table.all_rids().tolist() == live
             fresh = rebuilt_copy(table)
             for shape in SHAPES:
                 column = shape.column if hasattr(shape, "column") \
                     else "price"
-                assert table.index(column).scan_range(0, 599) \
-                    == fresh.index(column).scan_range(0, 599)
+                assert table.index(column).scan_range(0, 599).tolist() \
+                    == fresh.index(column).scan_range(0, 599).tolist()
         assert table.compactions > 0
 
     def test_delete_of_missing_rid_raises(self):
@@ -318,7 +318,7 @@ class TestStandingQueries:
             for standing, shape in zip(standings, SHAPES):
                 expected, _stats = fresh_engine.evaluate_predicate(
                     table, shape)
-                assert standing.rids == expected
+                assert standing.rids == expected.tolist()
         snapshot = engine.metrics_snapshot()
         assert snapshot["db.engine.standing.registered"] == len(SHAPES)
         assert snapshot["db.engine.standing.updates"] > 0
@@ -386,11 +386,11 @@ class TestShardedDeltas:
         shards = engine.shards_for(table)
         held = sorted(rid for shard in shards
                       for rid in shard.all_rids())
-        assert held == table.all_rids()
+        assert held == table.all_rids().tolist()
         engine.apply_delta(table, DeltaBatch.from_spec(specs[0]))
         held = sorted(rid for shard in engine.shards_for(table)
                       for rid in shard.all_rids())
-        assert held == table.all_rids()
+        assert held == table.all_rids().tolist()
 
 
 class TestDeltaHelpers:
@@ -403,7 +403,7 @@ class TestDeltaHelpers:
         for shape in SHAPES:
             mask = delta_mask(shape, columns)
             expected, _stats = engine.evaluate_predicate(table, shape)
-            assert np.flatnonzero(mask).tolist() == expected
+            assert np.flatnonzero(mask).tolist() == expected.tolist()
 
     def test_signature_affected_overlap_rules(self):
         touched = {"price": np.asarray([100, 250]),
@@ -422,7 +422,8 @@ class TestDeltaHelpers:
 
 
 class TestCostModelOperands:
-    """The public cost-model API accepts ndarray operands."""
+    """The public cost-model API accepts ndarray operands and
+    returns the same int64 ndarray values as for list operands."""
 
     def test_set_operation_ndarray_equals_list(self, eis_2lsu_partial):
         from repro.core.costmodel import CostModel
@@ -436,7 +437,8 @@ class TestCostModelOperands:
                 eis_2lsu_partial, which,
                 np.asarray(set_a, dtype=np.int64),
                 np.asarray(set_b, dtype=np.int64))
-            assert got == expected
+            assert _plain(got) == _plain(expected)
+            assert got[0].dtype == np.int64
 
     def test_merge_sort_ndarray_equals_list(self, eis_2lsu_partial):
         from repro.core.costmodel import CostModel
@@ -445,7 +447,13 @@ class TestCostModelOperands:
         expected = model.merge_sort(eis_2lsu_partial, values)
         got = model.merge_sort(eis_2lsu_partial,
                                np.asarray(values, dtype=np.int64))
-        assert got == expected
-        assert model.merge_sort(eis_2lsu_partial,
-                                np.asarray([], dtype=np.int64)) \
-            == model.merge_sort(eis_2lsu_partial, [])
+        assert _plain(got) == _plain(expected)
+        assert _plain(model.merge_sort(eis_2lsu_partial,
+                                       np.asarray([], dtype=np.int64))) \
+            == _plain(model.merge_sort(eis_2lsu_partial, []))
+
+
+def _plain(modeled):
+    """A cost-model ``(values, cycles, source)`` with list values."""
+    values, cycles, source = modeled
+    return values.tolist(), cycles, source

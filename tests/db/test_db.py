@@ -52,25 +52,28 @@ class TestSecondaryIndex:
 
     def test_eq_scan_matches_column(self, table):
         rids = table.index("status").scan_eq(2)
-        assert rids == oracle.where(table, Eq("status", 2))
+        assert rids.tolist() == oracle.where(table, Eq("status", 2))
 
     def test_range_scan_inclusive(self, table):
         rids = table.index("priority").scan_range(3, 5)
-        assert rids == oracle.where(table, Range("priority", 3, 5))
+        assert rids.tolist() == oracle.where(table,
+                                             Range("priority", 3, 5))
 
     def test_open_ended_ranges(self, table):
         low_only = table.index("priority").scan_range(low=8)
-        assert low_only == oracle.where(table, Range("priority", 8))
+        assert low_only.tolist() == oracle.where(table,
+                                                 Range("priority", 8))
         high_only = table.index("priority").scan_range(high=1)
-        assert high_only == oracle.where(table,
-                                         Range("priority", None, 1))
+        assert high_only.tolist() == oracle.where(
+            table, Range("priority", None, 1))
 
     def test_in_scan(self, table):
         rids = table.index("region").scan_in([0, 5])
-        assert rids == oracle.where(table, In("region", (0, 5)))
+        assert rids.tolist() == oracle.where(table,
+                                             In("region", (0, 5)))
 
     def test_missing_value(self, table):
-        assert table.index("status").scan_eq(99) == []
+        assert table.index("status").scan_eq(99).tolist() == []
 
     def test_counts_match_scans(self, table):
         index = table.index("priority")
@@ -110,7 +113,7 @@ class TestWhere:
     def test_conjunction(self, table, executor):
         predicate = Eq("status", 1) & Eq("region", 2)
         rids, stats = executor.where(table, predicate)
-        assert rids == oracle.where(table, predicate)
+        assert rids.tolist() == oracle.where(table, predicate)
         assert stats.set_operations == 1
         assert stats.index_scans == 2
         assert stats.cycles > 0
@@ -118,31 +121,32 @@ class TestWhere:
     def test_disjunction(self, table, executor):
         predicate = Eq("status", 0) | Eq("status", 3)
         rids, _stats = executor.where(table, predicate)
-        assert rids == oracle.where(table, predicate)
+        assert rids.tolist() == oracle.where(table, predicate)
 
     def test_andnot(self, table, executor):
         predicate = AndNot(Range("priority", 5, 9), Eq("region", 1))
         rids, _stats = executor.where(table, predicate)
-        assert rids == oracle.where(table, predicate)
+        assert rids.tolist() == oracle.where(table, predicate)
 
     def test_nested_tree(self, table, executor):
         predicate = (Eq("status", 1) & Range("priority", 5, 9)) \
             | In("region", [2, 3])
         rids, stats = executor.where(table, predicate)
-        assert rids == oracle.where(table, predicate)
+        assert rids.tolist() == oracle.where(table, predicate)
         assert stats.set_operations == 2
 
     def test_empty_result(self, table, executor):
         rids, _stats = executor.where(table,
                                       Eq("status", 1) & Eq("status", 2))
-        assert rids == []
+        assert rids.tolist() == []
 
 
 class TestOrderByAndSelect:
     def test_order_by_sorts_by_key(self, table, executor):
         rids, stats = executor.order_by(
             table, list(range(table.row_count)), "amount")
-        assert rids == oracle.answer(Query(table, order_by="amount"))[0]
+        assert rids.tolist() \
+            == oracle.answer(Query(table, order_by="amount"))[0]
         assert stats.sort_operations == 1
 
     def test_order_by_descending(self, table, executor):
@@ -177,7 +181,7 @@ class TestOrderByAndSelect:
 
     def test_empty_rid_list(self, table, executor):
         rids, stats = executor.order_by(table, [], "amount")
-        assert rids == []
+        assert rids.tolist() == []
         assert stats.cycles == 0
 
 
@@ -190,5 +194,6 @@ class TestEisScalarAgreement:
             | Eq("status", 0)
         eis_rids, eis_stats = eis.where(table, predicate)
         scalar_rids, scalar_stats = scalar.where(table, predicate)
-        assert eis_rids == scalar_rids == oracle.where(table, predicate)
+        assert eis_rids.tolist() == scalar_rids.tolist() \
+            == oracle.where(table, predicate)
         assert eis_stats.cycles < scalar_stats.cycles  # acceleration

@@ -190,6 +190,51 @@ class TestDuplicateInProbes:
             assert got.rids == oracle.where(table, reference)
 
 
+class TestReadOnlyRidVectors:
+    """Scan-cache and CSE entries are handed out uncopied, so they are
+    read-only: a caller cannot corrupt what later queries read."""
+
+    def test_cached_scan_cannot_be_mutated(self, eis_2lsu_partial,
+                                           table):
+        engine = make_engine(eis_2lsu_partial)
+        leaf = Eq("status", 1)
+        first = engine.execute(Query(table, leaf))
+        rids, _stats = engine.evaluate_predicate(table, leaf)
+        assert engine.metrics_snapshot()["db.engine.scan_cache.hits"] \
+            == 1
+        with pytest.raises(ValueError):
+            rids[0] = 10 ** 6
+        with pytest.raises(ValueError):
+            rids.sort()
+        again = engine.execute(Query(table, leaf))
+        assert again.rids == first.rids == oracle.where(table, leaf)
+
+    def test_cse_result_cannot_be_mutated(self, eis_2lsu_partial, table,
+                                          predicate):
+        engine = make_engine(eis_2lsu_partial)
+        cse = {}
+        rids, _stats = engine.evaluate_predicate(table, predicate,
+                                                 cse=cse)
+        with pytest.raises(ValueError):
+            rids[:] = 0
+        reused, _stats = engine.evaluate_predicate(table, predicate,
+                                                   cse=cse)
+        assert reused.tolist() == oracle.where(table, predicate)
+
+    def test_results_hold_plain_ints(self, eis_2lsu_partial, table,
+                                     predicate):
+        engine = make_engine(eis_2lsu_partial)
+        for query in (Query(table, predicate),
+                      Query(table, predicate, order_by="price",
+                            descending=True, limit=7),
+                      Query(table, None, limit=4),
+                      Query(table, Eq("status", 1) - Range("price", 0, 800))):
+            result = engine.execute(query)
+            assert isinstance(result.rids, list)
+            assert all(type(rid) is int for rid in result.rids)
+            assert (result.rids, result.rows) == oracle.answer(query)
+
+
 class TestRefusalIndependentOfWorkers:
     """A plan refusal does not depend on the worker count."""
 

@@ -10,7 +10,10 @@ hedged onto replicas under a modeled-cycle deadline.
 """
 
 import random
+import struct
+import zlib
 
+import numpy as np
 import pytest
 
 from repro.db import (CircuitBreaker, ColumnarTable, Query, QueryEngine,
@@ -150,6 +153,14 @@ class TestRidChecksum:
         assert rid_checksum(rids[:-1]) != clean           # drop
         assert rid_checksum([5, 17, 90 ^ 8, 4096]) != clean   # flip
         assert rid_checksum(rids + [99999]) != clean      # inject
+
+    def test_ndarray_hashes_like_the_same_list(self):
+        rids = [0, 5, 17, 4095, 4096, (1 << 31) + 7]
+        # The wire format: CRC-32 over little-endian 32-bit words.
+        expected = zlib.crc32(struct.pack("<%dI" % len(rids), *rids))
+        assert rid_checksum(rids) == expected
+        assert rid_checksum(np.asarray(rids, dtype=np.int64)) == expected
+        assert rid_checksum(np.asarray([], dtype=np.int64)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,9 @@ class TestWhereParity:
         rids_eis, stats_eis = executors["eis"].where(table, predicate)
         rids_scalar, stats_scalar = executors["scalar"].where(
             table, predicate)
-        assert rids_eis == rids_scalar == oracle.where(table, predicate)
+        rids_eis = rids_eis.tolist()
+        assert rids_eis == rids_scalar.tolist() \
+            == oracle.where(table, predicate)
         assert table.fetch(rids_eis) == oracle.fetch(table, rids_eis)
         if stats_eis.set_operations and stats_eis.cycles:
             assert stats_eis.cycles < stats_scalar.cycles
@@ -70,7 +72,8 @@ class TestOrderByParity:
             table, rids, "score", descending)
         ordered_scalar, _ = executors["scalar"].order_by(
             table, rids, "score", descending)
-        assert ordered_eis == ordered_scalar
+        ordered_eis = ordered_eis.tolist()
+        assert ordered_eis == ordered_scalar.tolist()
         scores = table.column("score")
         keys = [scores[rid] for rid in ordered_eis]
         assert keys == sorted(keys, reverse=descending)
@@ -104,5 +107,5 @@ class TestOrderByParity:
             table, list(range(table.row_count)), "score")
         ordered_scalar, _ = executors["scalar"].order_by(
             table, list(range(table.row_count)), "score")
-        assert ordered_eis == ordered_scalar
+        assert ordered_eis.tolist() == ordered_scalar.tolist()
         assert sorted(ordered_eis) == list(range(table.row_count))

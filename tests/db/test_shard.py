@@ -223,7 +223,7 @@ class TestPruning:
             for shard in shards:
                 if not shard_may_match(shard, shape):
                     rids, _ = engine.evaluate_predicate(shard, shape)
-                    assert rids == []
+                    assert rids.tolist() == []
 
 
 class TestPartitioners:
@@ -238,7 +238,7 @@ class TestPartitioners:
     def test_global_rids_ascending(self, table):
         """Shards keep the parent's RIDs, in ascending order."""
         for shard in partition_table(table, HashPartitioner(4)):
-            rids = shard.all_rids()
+            rids = shard.all_rids().tolist()
             assert rids == sorted(rids)
             assert shard.fetch(rids) == table.fetch(rids)
 
@@ -343,8 +343,8 @@ class TestRepeatedBatches:
         engine.clear_caches()
         after = engine.shards_for(table)
         assert after is not before
-        assert [shard.all_rids() for shard in after] \
-            == [shard.all_rids() for shard in before]
+        assert [shard.all_rids().tolist() for shard in after] \
+            == [shard.all_rids().tolist() for shard in before]
 
 
 def _mix32(value):
