@@ -546,7 +546,10 @@ def eis_sort_features(length, presort_unroll=16, merge_unroll=16):
     MLDSEL and fires the merge network every iteration, so each pair
     of runs takes exactly ``target + 2`` fused-bundle iterations where
     ``target`` is the pair's 128-bit block count — the cycle count is
-    a pure function of the (padded) input length.
+    a pure function of the (padded) input length.  The pair walk is
+    data-independent, so each pass is closed form: ``padded // span``
+    full pairs of ``span // LANES`` blocks plus one partial pair for a
+    non-zero remainder.
     """
     padded = length + (-length) % LANES
     blocks = padded // LANES
@@ -554,17 +557,16 @@ def eis_sort_features(length, presort_unroll=16, merge_unroll=16):
     features = [1, presort, (presort - 1) // presort_unroll, 0, 0, 0, 0]
     run = LANES
     while run < padded:
+        span = 2 * run
+        full, rest = divmod(padded, span)
         features[3] += 1
-        position = 0
-        while position < padded:
-            end = min(position + 2 * run, padded)
-            target = (end - position) // LANES
-            iterations = target + 2
+        features[4] += full
+        features[5] += blocks
+        features[6] += full * ((span // LANES + 1) // merge_unroll)
+        if rest:
             features[4] += 1
-            features[5] += target
-            features[6] += (iterations - 1) // merge_unroll
-            position = end
-        run *= 2
+            features[6] += (rest // LANES + 1) // merge_unroll
+        run = span
     return features
 
 

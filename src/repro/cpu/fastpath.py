@@ -19,8 +19,17 @@ Equivalence contract
 For every run that completes (reaches ``halt``), the fast path produces
 bit- and cycle-identical results to the reference interpreter: the same
 ``cycles``, ``instructions``, final register file, taken-redirect and
-interlock-stall counts, and LSU/memory/cache statistics (the generated
-code calls the very same :class:`~repro.cpu.lsu.LoadStoreUnit` objects).
+interlock-stall counts, and LSU/memory/cache statistics.
+
+``l32i``/``s32i`` to a zero-wait local data memory index the region's
+``words`` directly when the address is aligned and inside ``dmem0`` (or
+``dmem1`` on a dual-LSU configuration), the configuration has no dcache,
+the region no wait states, and neither the LSU's nor the region's
+``fault_hook`` is armed.  Such an access bumps the same LSU and region
+counters, costs no stall, and a store still journals into the region's
+undo journal.  Every other access calls the
+:class:`~repro.cpu.lsu.LoadStoreUnit`, which owns every fault.
+
 Runs that fault (``MemoryFault``) or exceed ``max_cycles`` raise the
 same exception types, but the cycle limit is only checked at block
 boundaries and the processor's scratch attributes (``pc``/``cycle``/...)
@@ -53,6 +62,8 @@ _ALU_OPS = frozenset((
 _LOAD_OPS = {"l32i": (4, False), "l16ui": (2, False),
              "l16si": (2, True), "l8ui": (1, False)}
 _STORE_OPS = {"s32i": (4, ""), "s16i": (2, " & 65535"), "s8i": (1, " & 255")}
+#: Word accesses that may index a zero-wait local memory directly.
+_DIRECT_OPS = frozenset(("l32i", "s32i"))
 _BRANCH_CONDS = {
     "beq": ("==", False), "bne": ("!=", False),
     "bltu": ("<", False), "bgeu": (">=", False),
@@ -145,20 +156,30 @@ def compile_fastpath(processor, program, steps):
             current = None
 
     dual = processor._dmem1_base < processor._dmem1_limit
+    lsus = processor.lsus
+    # (LSU, local memory, direct?) per routing target: dmem1 on its
+    # own LSU when dual, everything else on LSU0.
+    routes = [(lsus[0], processor.dmem0)]
+    if dual:
+        routes.append((lsus[1], processor.dmem1))
+    routes = [(lsu, region, region in processor._direct_regions)
+              for lsu, region in routes]
     lines = []
     for block in plans:
         lines.extend(_gen_block(block, items, steps, transfers_at, enders,
-                                dual, processor._dmem1_base,
-                                processor._dmem1_limit))
+                                routes))
         lines.append("")
     source = "\n".join(lines)
     namespace = {
         "EX": [s.execute if s is not None else None for s in steps],
         "OPS": [s.operands if s is not None else None for s in steps],
-        "LSU0": processor.lsus[0],
-        "LSU1": processor.lsus[1] if len(processor.lsus) > 1 else None,
         "WD": _watchdog_trip,
     }
+    for number, (lsu, region, direct) in enumerate(routes):
+        namespace["LSU%d" % number] = lsu
+        if direct:
+            namespace["D%d" % number] = region
+            namespace["W%d" % number] = region.words
     code = compile(source, "<fastpath:%s>" % program.source_name, "exec")
     exec(code, namespace)
     blocks = [None] * n
@@ -194,12 +215,12 @@ def _inline_category(item, step):
     return None
 
 
-def _gen_block(indexes, items, steps, transfers_at, enders, dual, d1base,
-               d1limit):
+def _gen_block(indexes, items, steps, transfers_at, enders, routes):
     leader = indexes[0]
     fallbacks = []
     categories = {}
     uses_mem = False
+    uses_direct = False
     for index in indexes:
         step = steps[index]
         category = _inline_category(items[index], step)
@@ -208,13 +229,17 @@ def _gen_block(indexes, items, steps, transfers_at, enders, dual, d1base,
             fallbacks.append(index)
         elif category in ("load", "store"):
             uses_mem = True
+            if items[index].spec.name in _DIRECT_OPS:
+                uses_direct = True
 
     params = ["core", "rv", "reg_ready", "cycle", "issued", "taken",
               "interlock", "max_cycles", "WD=WD"]
     if uses_mem:
-        params.append("lsu0=LSU0")
-        if dual:
-            params.append("lsu1=LSU1")
+        for number, (_lsu, _region, direct) in enumerate(routes):
+            params.append("lsu%d=LSU%d" % (number, number))
+            if direct and uses_direct:
+                params.append("d%d=D%d" % (number, number))
+                params.append("w%d=W%d" % (number, number))
     for index in fallbacks:
         params.append("ex%d=EX[%d]" % (index, index))
         params.append("ops%d=OPS[%d]" % (index, index))
@@ -254,16 +279,72 @@ def _gen_block(indexes, items, steps, transfers_at, enders, dual, d1base,
             for reg in step.writes:
                 w("reg_ready[%d] = cycle + %d" % (reg, step.rdelay), indent)
 
-    def addr_line(rs, imm, indent):
-        if imm:
-            w("_a = rv[%d] + %d" % (rs, imm), indent)
-        else:
-            w("_a = rv[%d]" % rs, indent)
-        if dual:
-            w("_l = lsu1 if %d <= _a < %d else lsu0" % (d1base, d1limit),
+    def lsu_access(item, number, indent):
+        """The unchanged LoadStoreUnit call; it owns every fault."""
+        rd = item.operands[0]
+        name = item.spec.name
+        if name in _LOAD_OPS:
+            size, signed = _LOAD_OPS[name]
+            w("_v, _c = lsu%d.load(_a, %d, %s)" % (number, size, signed),
               indent)
-            return "_l"
-        return "lsu0"
+            w("rv[%d] = _v%s" % (rd, " & 4294967295" if signed else ""),
+              indent)
+        else:
+            size, mask = _STORE_OPS[name]
+            w("_c = lsu%d.store(_a, rv[%d]%s, %d)"
+              % (number, rd, mask, size), indent)
+        w("cycle = issue + 1 + _c", indent)
+
+    def direct_access(item, number, region, indent):
+        """Index a zero-wait local memory's words, as the LSU would."""
+        rd = item.operands[0]
+        index = "_a >> 2" if region.base == 0 \
+            else "(_a - %d) >> 2" % region.base
+        if item.spec.name == "l32i":
+            w("rv[%d] = w%d[%s]" % (rd, number, index), indent)
+            w("lsu%d.loads += 1" % number, indent)
+            w("d%d.read_accesses += 1" % number, indent)
+        else:
+            w("_i = %s" % index, indent)
+            w("if d%d._undo is not None:" % number, indent)
+            w("    d%d._journal(_i, w%d[_i])" % (number, number), indent)
+            w("w%d[_i] = rv[%d]" % (number, rd), indent)
+            w("lsu%d.stores += 1" % number, indent)
+            w("d%d.write_accesses += 1" % number, indent)
+        w("cycle = issue + 1", indent)
+
+    def route_access(item, number, indent, in_range):
+        _lsu, region, direct = routes[number]
+        if not (direct and item.spec.name in _DIRECT_OPS):
+            lsu_access(item, number, indent)
+            return
+        guard = ["not _a & 3"]
+        if not in_range:
+            if region.base == 0 and item.operands[2] >= 0:
+                guard.append("_a < %d" % region.limit)
+            else:
+                guard.append("%d <= _a < %d" % (region.base, region.limit))
+        guard.append("lsu%d.fault_hook is None" % number)
+        guard.append("d%d.fault_hook is None" % number)
+        w("if %s:" % " and ".join(guard), indent)
+        direct_access(item, number, region, indent + 1)
+        w("else:", indent)
+        lsu_access(item, number, indent + 1)
+
+    def memory_access(item):
+        _rd, rs, imm = item.operands
+        if imm:
+            w("_a = rv[%d] + %d" % (rs, imm))
+        else:
+            w("_a = rv[%d]" % rs)
+        if len(routes) == 1:
+            route_access(item, 0, 1, False)
+            return
+        dmem1 = routes[1][1]
+        w("if %d <= _a < %d:" % (dmem1.base, dmem1.limit))
+        route_access(item, 1, 2, True)
+        w("else:")
+        route_access(item, 0, 2, False)
 
     count = 0
     for index in indexes:
@@ -279,23 +360,9 @@ def _gen_block(indexes, items, steps, transfers_at, enders, dual, d1base,
             _emit_alu(w, item, signed_temp)
             w("cycle = issue + 1")
             rdelay_updates(step, 1)
-        elif category == "load":
-            rd, rs, imm = item.operands
-            size, signed = _LOAD_OPS[item.spec.name]
-            lsu = addr_line(rs, imm, 1)
-            w("_v, _c = %s.load(_a, %d, %s)" % (lsu, size, signed))
-            if signed:
-                w("rv[%d] = _v & 4294967295" % rd)
-            else:
-                w("rv[%d] = _v" % rd)
-            w("cycle = issue + 1 + _c")
+        elif category in ("load", "store"):
+            memory_access(item)
             rdelay_updates(step, 1)
-        elif category == "store":
-            rd, rs, imm = item.operands
-            size, mask = _STORE_OPS[item.spec.name]
-            lsu = addr_line(rs, imm, 1)
-            w("_c = %s.store(_a, rv[%d]%s, %d)" % (lsu, rd, mask, size))
-            w("cycle = issue + 1 + _c")
         elif category == "branch":
             cond = _branch_condition(w, item, signed_temp)
             target = item.operands[-1]

@@ -44,6 +44,8 @@ class Memory:
         self.size_bytes = size_bytes
         self.limit = base + size_bytes
         self.wait_states = wait_states
+        #: Word store.  Only ever mutated in place: the compiled fast
+        #: path (:mod:`repro.cpu.fastpath`) binds this list object.
         self.words = [0] * (size_bytes // 4)
         self.read_accesses = 0
         self.write_accesses = 0

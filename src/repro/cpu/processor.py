@@ -28,7 +28,8 @@ from .errors import ConfigurationError, DivergenceError, MemoryFault, \
     SimulationError
 from .fastpath import compile_fastpath, fastpath_disabled
 from .lsu import LoadStoreUnit
-from .memory import DMEM0_BASE, DMEM1_BASE, MAIN_BASE, Memory, MemoryMap
+from .memory import DMEM0_BASE, DMEM1_BASE, M32, MAIN_BASE, Memory, \
+    MemoryMap
 from .pipeline import register_uses, result_delay
 from .watchdog import DEFAULT_MAX_CYCLES, trip as _watchdog_trip
 
@@ -193,6 +194,15 @@ class Processor:
             # Empty range: the single comparison chain in lsu_for then
             # rejects every address without extra checks.
             self._dmem1_base, self._dmem1_limit = 1, 0
+        # Local memories that word and block accesses may index directly
+        # (the zero-wait fast access): no dcache in front, no wait
+        # states, and dmem1 only when its own LSU serves it.
+        local = [self.dmem0]
+        if self._dmem1_base < self._dmem1_limit:
+            local.append(self.dmem1)
+        self._direct_regions = tuple(
+            region for region in local
+            if dcache is None and region.wait_states == 0)
 
     def _register_metrics(self):
         """Index every component's instruments in :attr:`metrics`.
@@ -277,15 +287,51 @@ class Processor:
     def load_block(self, lsu_index, addr, nwords=4):
         """128-bit wide load through a specific LSU (EIS LD path)."""
         lsu = self.lsus[lsu_index]
-        lsu.require_wide_port(nwords * 32)
-        values, cost = lsu.load_block(addr, nwords)
-        self.mem_extra += cost
-        return values
+        region = self._direct_block(lsu, addr, nwords)
+        if region is None:
+            lsu.require_wide_port(nwords * 32)
+            values, cost = lsu.load_block(addr, nwords)
+            self.mem_extra += cost
+            return values
+        lsu.loads += 1
+        region.read_accesses += 1
+        index = (addr - region.base) >> 2
+        return region.words[index:index + nwords]
 
     def store_block(self, lsu_index, addr, values):
         lsu = self.lsus[lsu_index]
-        lsu.require_wide_port(len(values) * 32)
-        self.mem_extra += lsu.store_block(addr, values)
+        region = self._direct_block(lsu, addr, len(values))
+        if region is None:
+            lsu.require_wide_port(len(values) * 32)
+            self.mem_extra += lsu.store_block(addr, values)
+            return
+        lsu.stores += 1
+        region.write_accesses += 1
+        index = (addr - region.base) >> 2
+        end = index + len(values)
+        if region._undo is not None:
+            region._journal(index, region.words[index:end])
+        region.words[index:end] = [v & M32 for v in values]
+
+    def _direct_block(self, lsu, addr, nwords):
+        """The local memory a block access may index directly, or None.
+
+        Direct means an aligned access that fits the LSU port and lies
+        wholly inside a zero-wait local memory, with neither the LSU's
+        nor the region's fault hook armed: the LSU path would charge it
+        no stall and raise nothing.  Every other access takes the
+        :class:`LoadStoreUnit` path, which faults exactly as before.
+        """
+        if addr & 3 or nwords * 4 > lsu.port_bytes \
+                or lsu.fault_hook is not None:
+            return None
+        for region in self._direct_regions:
+            if region.base <= addr < region.limit:
+                if addr + nwords * 4 <= region.limit \
+                        and region.fault_hook is None:
+                    return region
+                return None
+        return None
 
     # ------------------------------------------------------------------
     # host-side data staging
@@ -506,7 +552,15 @@ class Processor:
         raises :class:`~repro.cpu.errors.DivergenceError`.  The replay
         (reference) result is returned, with the stats rebuilt to
         report the run as a fast-path run, which it was.
+
+        A run with an armed LSU, memory or DMA fault hook is not
+        replayed: the hooks count accesses and the rollback does not
+        rewind them, so a replay would meet different faults.
         """
+        if self._access_hooks_armed():
+            self.last_paranoid = {"ok": None, "checked": 0,
+                                  "replayed": False}
+            return self._run_fast(fast, entry, max_cycles)
         guard = _RunGuard(self)
         record = []
         try:
@@ -542,6 +596,12 @@ class Processor:
                                    ref_result.instructions)
         return RunResult(ref_result.cycles, ref_result.instructions,
                          ref_result.regs, stats)
+
+    def _access_hooks_armed(self):
+        prefetcher = getattr(self, "prefetcher", None)
+        return any(unit.fault_hook is not None for unit in
+                   (*self.lsus, *self.memory_map)) \
+            or (prefetcher is not None and prefetcher.fault_hook is not None)
 
     def _run_interpreted(self, entry, max_cycles, trace, probe=None):
         self._g_fastpath.set(0)

@@ -15,12 +15,14 @@ import pytest
 from repro.core.costmodel import (CostModel, calibration_cache_size,
                                   clear_calibration_cache,
                                   config_signature, default_cost_model,
-                                  eis_set_features, set_result,
-                                  solve_exact)
+                                  eis_set_features, eis_sort_features,
+                                  set_result, solve_exact)
 from repro.cpu import CacheConfig, CoreConfig, Processor
 from repro.db import QueryExecutor, QueryStats
 from repro.workloads.sets import generate_set_pair
 from repro.workloads.sorting import random_values
+
+from .eis_sort_walk import walk_eis_sort_features
 
 SET_OPS = ("intersection", "union", "difference")
 
@@ -96,6 +98,12 @@ class TestPrimitives:
                     _features, total = eis_set_features(
                         which, a, b, partial)
                     assert total == len(set_result(which, a, b))
+
+    @pytest.mark.parametrize("unrolls", ((16, 16), (1, 1), (4, 8), (3, 5)))
+    def test_eis_sort_closed_form_matches_walk(self, unrolls):
+        for length in range(5000):
+            assert eis_sort_features(length, *unrolls) \
+                == walk_eis_sort_features(length, *unrolls), length
 
     def test_config_signature_covers_catalog(self, eis_2lsu_partial,
                                              eis_1lsu_partial, mini_108):

@@ -23,6 +23,8 @@ from repro.cpu.fastpath import FastProgram, compile_fastpath
 from repro.cpu.memory import DMEM1_BASE
 from repro.cpu.profiler import CycleProfiler
 from repro.cpu.trace import PipelineTracer
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, LsuDelay
 
 SET_OPS = ("intersection", "union", "difference")
 EIS_CONFIGS = tuple(name for name in CONFIG_NAMES if has_eis(name))
@@ -304,3 +306,143 @@ def test_program_reload_reuses_compiled_steps(processors):
     processor.load_program(program)
     assert processor._steps is steps
     assert processor._fast is fast
+
+
+# ---------------------------------------------------------------------------
+# direct access to zero-wait local memories
+# ---------------------------------------------------------------------------
+
+def _hooked_differential(monkeypatch, processor, plan, run):
+    """:func:`assert_differential` with *plan* armed afresh per run.
+
+    The injector's ``fired`` log rides in the compared output; returns
+    the fast result and that log.
+    """
+    logs = []
+
+    def invoke():
+        injector = FaultInjector(processor, plan)
+        with injector:
+            output, result = run()
+        logs.append(injector.fired)
+        return (output, injector.fired), result
+
+    return assert_differential(monkeypatch, invoke), logs[0]
+
+
+def test_armed_lsu_hook_scalar_sort_matches(monkeypatch):
+    processor = build_processor("DBA_1LSU")
+    values = _seeded_values(21, size=200)
+    plan = FaultPlan([LsuDelay(0, after_accesses=300, extra_cycles=5,
+                               length=40)])
+    hooked, fired = _hooked_differential(
+        monkeypatch, processor, plan,
+        lambda: run_scalar_merge_sort(processor, values))
+    assert len(fired) == 1
+    clean = run_scalar_merge_sort(processor, values)[1]
+    assert hooked.cycles == clean.cycles + 5 * 40
+
+
+def test_armed_lsu_hook_eis_set_operation_matches(monkeypatch):
+    processor = build_processor("DBA_2LSU_EIS")
+    set_a, set_b = _seeded_sets(22)
+    plan = FaultPlan([LsuDelay(0, after_accesses=10, extra_cycles=3),
+                      LsuDelay(1, after_accesses=25, extra_cycles=2,
+                               length=12)])
+    hooked, fired = _hooked_differential(
+        monkeypatch, processor, plan,
+        lambda: run_set_operation(processor, "union", set_a, set_b))
+    assert len(fired) == 2
+    clean = run_set_operation(processor, "union", set_a, set_b)[1]
+    assert hooked.cycles > clean.cycles
+
+
+@pytest.mark.parametrize("config", ("DBA_1LSU", "DBA_2LSU_EIS"))
+@pytest.mark.parametrize("access", ("misaligned-load", "store-past-end"))
+def test_bad_word_access_faults_on_both_paths(monkeypatch, config, access):
+    processor = build_processor(config)
+    if access == "misaligned-load":
+        source, address = "main:\n  l32i a3, a2, 0\n  halt", 6
+    else:
+        source, address = "main:\n  s32i a3, a2, 0\n  halt", \
+            processor.dmem0.limit
+    processor.load_program(source)
+    assert processor._fast.accepts(0)
+    messages = []
+    for disabled in (False, True):
+        if disabled:
+            monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
+        with pytest.raises(MemoryFault) as caught:
+            processor.run(entry="main", regs={"a2": address, "a3": 7})
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+
+
+def _lsu_load_block(processor, lsu_index, addr, nwords):
+    """The LoadStoreUnit route of a block load, as the oracle."""
+    lsu = processor.lsus[lsu_index]
+    lsu.require_wide_port(nwords * 32)
+    values, cost = lsu.load_block(addr, nwords)
+    processor.mem_extra += cost
+    return values
+
+
+def _lsu_store_block(processor, lsu_index, addr, values):
+    lsu = processor.lsus[lsu_index]
+    lsu.require_wide_port(len(values) * 32)
+    processor.mem_extra += lsu.store_block(addr, values)
+
+
+def _memory_state(processor):
+    return ([(lsu.loads, lsu.stores, lsu.stall_cycles)
+             for lsu in processor.lsus],
+            [(region.name, region.read_accesses, region.write_accesses,
+              region._undo, region.words) for region in processor.memory_map],
+            processor.mem_extra)
+
+
+@pytest.mark.parametrize("config", ("DBA_2LSU_EIS", "DBA_1LSU_EIS"))
+def test_block_access_matches_load_store_unit(config):
+    direct, oracle = build_processor(config), build_processor(config)
+
+    def local(processor):
+        return [region for region in (processor.dmem0, processor.dmem1)
+                if region is not None]
+
+    accesses = []
+    for region in local(direct):
+        last = region.limit - 16
+        for lsu_index in range(len(direct.lsus)):
+            for addr in (region.base, region.base + 48, last):
+                accesses.append((lsu_index, addr))
+    faults = [(0, 6, 4), (0, direct.dmem0.limit - 8, 4),
+              (0, direct.dmem0.limit, 4), (0, 0, 8)]
+    for processor in (direct, oracle):
+        for region in local(processor):
+            processor.write_words(region.base, list(range(1, 65)))
+            processor.write_words(region.limit - 64, list(range(101, 117)))
+            region.begin_undo()
+        processor.mem_extra = 0
+    for step, (lsu_index, addr) in enumerate(accesses):
+        got = direct.load_block(lsu_index, addr, 4)
+        want = _lsu_load_block(oracle, lsu_index, addr, 4)
+        assert got == want
+        values = [step, -1, 1 << 33, want[0]]
+        direct.store_block(lsu_index, addr, values)
+        _lsu_store_block(oracle, lsu_index, addr, values)
+        assert _memory_state(direct) == _memory_state(oracle)
+    assert direct.mem_extra == 0
+    for lsu_index, addr, nwords in faults:
+        for processor in (direct, oracle):
+            with pytest.raises(MemoryFault):
+                processor.load_block(lsu_index, addr, nwords)
+            with pytest.raises(MemoryFault):
+                processor.store_block(lsu_index, addr, [5] * nwords)
+        assert _memory_state(direct) == _memory_state(oracle)
+    # an armed LSU hook takes the LoadStoreUnit path and its stall
+    for processor in (direct, oracle):
+        processor.lsus[0].fault_hook = lambda lsu, addr, is_write: 5
+    direct.load_block(0, 16, 4)
+    _lsu_load_block(oracle, 0, 16, 4)
+    assert direct.mem_extra == oracle.mem_extra == 5
+    assert _memory_state(direct) == _memory_state(oracle)

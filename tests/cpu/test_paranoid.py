@@ -25,6 +25,20 @@ loop:
   halt
 """
 
+#: Increments dmem0 words 0..47 in place through l32i/s32i.
+BUMP = """
+main:
+  movi a2, 0
+  movi a3, 192
+loop:
+  l32i a5, a2, 0
+  addi a5, a5, 1
+  s32i a5, a2, 0
+  addi a2, a2, 4
+  bltu a2, a3, loop
+  halt
+"""
+
 
 def _wrap_block(processor, leader, wrapper):
     """Replace one compiled block, returning an undo callable."""
@@ -67,6 +81,26 @@ class TestParanoidPasses:
         assert processor.last_paranoid["ok"] is True
         assert out_checked == out_plain
         assert res_checked.cycles == res_plain.cycles
+
+
+    def test_armed_access_hook_run_is_not_replayed(self, monkeypatch):
+        """A stateful LSU hook would fire differently in a replay."""
+        from repro.faults.injector import FaultInjector
+        from repro.faults.plan import FaultPlan, LsuDelay
+        plan = FaultPlan([LsuDelay(0, after_accesses=2, extra_cycles=4)])
+        processor = build_processor("DBA_1LSU")
+        processor.load_program(BUMP)
+        processor.write_words(0, [0] * 48)
+        with FaultInjector(processor, plan):
+            want = processor.run_interpreted(entry="main")
+        monkeypatch.setenv("REPRO_PARANOID", "1")
+        processor.write_words(0, [0] * 48)
+        with FaultInjector(processor, plan):
+            checked = processor.run(entry="main")
+        assert processor.last_paranoid == {"ok": None, "checked": 0,
+                                           "replayed": False}
+        assert checked.stats.metric("cpu.run.fastpath") == 1
+        assert (checked.cycles, checked.regs) == (want.cycles, want.regs)
 
 
 class TestParanoidCatchesDivergence:
@@ -146,6 +180,114 @@ class TestGracefulDegradation:
         assert result.regs == reference.regs
         assert result.stats.metric("cpu.run.fallback") == 1
         assert result.stats.metric("cpu.run.fastpath") == 0
+
+    def test_rollback_undoes_direct_word_stores(self):
+        """A fallback after direct ``s32i`` stores replays on pre-run memory.
+
+        The loop increments dmem0 words in place, so a store the
+        rollback missed would be applied twice by the replay.
+        """
+        staged = [100 + i for i in range(48)]
+        reference = build_processor("DBA_1LSU")
+        reference.load_program(BUMP)
+        reference.write_words(0, staged)
+        want = reference.run_interpreted(entry="main")
+
+        processor = build_processor("DBA_1LSU")
+        processor.load_program(BUMP)
+        processor.write_words(0, staged)
+        assert "w0[_i] = rv[" in processor._fast.source
+        dirty = []
+
+        def exploding(original):
+            state = {"armed": True}
+
+            def block(core, rv, reg_ready, cycle, issued, taken,
+                      interlock, max_cycles):
+                if state["armed"] and issued > 60:
+                    state["armed"] = False
+                    dirty.append(core.read_words(0, 48) != staged)
+                    raise ValueError("synthetic fast-path bug")
+                return original(core, rv, reg_ready, cycle, issued,
+                                taken, interlock, max_cycles)
+            return block
+
+        undo = _wrap_block(processor, processor._program.label("loop"),
+                           exploding)
+        try:
+            result = processor.run(entry="main")
+        finally:
+            undo()
+        assert dirty == [True]
+        assert result.stats.metric("cpu.run.fallback") == 1
+        assert result.regs == want.regs
+        assert processor.read_words(0, 48) == reference.read_words(0, 48)
+        assert processor.read_words(0, 48) == [v + 1 for v in staged]
+
+    def test_rollback_undoes_direct_block_stores(self, monkeypatch):
+        """The same for EIS ``store_block`` writes of the merge sort.
+
+        The sort ping-pongs between its input and a second buffer and
+        its merge passes overwrite the input.  Merging only permutes
+        values within runs, so the final image would hide a missed
+        rollback; the replay must therefore start from the exact
+        pre-run image.
+        """
+        from repro.core.kernels import run_merge_sort, sort_layout
+        values = [(i * 7919) % 1009 for i in range(64)]
+        src, dst = sort_layout(build_processor("DBA_2LSU_EIS"), 64)
+
+        def image(processor):
+            return (processor.read_words(src, 64),
+                    processor.read_words(dst, 64))
+
+        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
+        reference = build_processor("DBA_2LSU_EIS")
+        run_merge_sort(reference, values)
+        want_output, want = run_merge_sort(reference, values)
+        monkeypatch.delenv("REPRO_NO_FASTPATH")
+
+        processor = build_processor("DBA_2LSU_EIS")
+        _output, clean = run_merge_sort(processor, values)
+        fast = processor._fast
+        dirty = []
+        before = []
+        replayed_on = []
+        state = {"armed": True}
+        interpret = processor._run_interpreted
+
+        def replay(*args, **kwargs):
+            replayed_on.append(image(processor))
+            return interpret(*args, **kwargs)
+
+        monkeypatch.setattr(processor, "_run_interpreted", replay)
+
+        def exploding(original):
+            def block(core, rv, reg_ready, cycle, issued, taken,
+                      interlock, max_cycles):
+                if not before:
+                    before.append(image(core))
+                if state["armed"] and issued > clean.instructions // 2:
+                    state["armed"] = False
+                    dirty.append(core.read_words(src, 64) != values)
+                    raise ValueError("synthetic fast-path bug")
+                return original(core, rv, reg_ready, cycle, issued,
+                                taken, interlock, max_cycles)
+            return block
+
+        undos = [_wrap_block(processor, leader, exploding)
+                 for leader, fn in enumerate(fast.blocks) if fn is not None]
+        try:
+            output, result = run_merge_sort(processor, values)
+        finally:
+            for undo in undos:
+                undo()
+        assert dirty == [True]
+        assert replayed_on == before
+        assert result.stats.metric("cpu.run.fallback") == 1
+        assert output == want_output == sorted(values)
+        assert result.cycles == want.cycles
+        assert image(processor) == image(reference)
 
     def test_clean_runs_report_no_fallback(self, dba_1lsu):
         dba_1lsu.load_program(LOOP)
