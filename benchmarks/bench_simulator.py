@@ -6,7 +6,8 @@ The instruction-rate benches time both interpreter modes — the
 superblock fast path (default) and the reference loop
 (``REPRO_NO_FASTPATH=1``) — and, when ``BENCH_REPORT_DIR`` is set,
 write the speedup summary to ``BENCH_simulator.json`` (consumed by the
-CI perf smoke; see docs/PERFORMANCE.md).
+CI perf smoke; see docs/PERFORMANCE.md): the scalar merge sort at the
+top level, the EIS merge sort under ``eis_sort``.
 """
 
 import json
@@ -39,14 +40,19 @@ def _time_reference(fn, *args, repeats=3):
 
 
 def _write_speedup_summary(payload):
-    """Write the BENCH_simulator.json speedup record, if requested."""
+    """Merge *payload* into the BENCH_simulator.json record, if requested."""
     directory = os.environ.get("BENCH_REPORT_DIR")
     if not directory:
         return None
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, "BENCH_simulator.json")
+    summary = {}
+    if os.path.exists(path):
+        with open(path) as handle:
+            summary = json.load(handle)
+    summary.update(payload)
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
+        json.dump(summary, handle, indent=2)
         handle.write("\n")
     return path
 
@@ -96,9 +102,14 @@ def test_simulator_instruction_rate(benchmark, processors):
     })
 
 
-def test_eis_simulation_rate(benchmark, processors, paper_sets):
-    """Bundles per host second on the EIS intersection kernel."""
-    from repro.core.kernels import run_set_operation
+def test_eis_simulation_rate(benchmark, processors, paper_sets,
+                             paper_sort_values):
+    """Bundles per host second on the EIS intersection kernel.
+
+    Also times the EIS merge sort on both paths and records its fast
+    path speedup as ``eis_sort`` in ``BENCH_simulator.json``.
+    """
+    from repro.core.kernels import run_merge_sort, run_set_operation
     processor = processors[("DBA_2LSU_EIS", True)]
     set_a, set_b = paper_sets
     run_set_operation(processor, "intersection", set_a, set_b)
@@ -112,3 +123,30 @@ def test_eis_simulation_rate(benchmark, processors, paper_sets):
         repeats=1)
     benchmark.extra_info["issues_per_second_reference"] = \
         int(ref_stats.instructions / ref_seconds)
+
+    values = paper_sort_values
+    fast_seconds, (output, fast_stats) = _best_of(
+        run_merge_sort, processor, values)
+    ref_seconds, (ref_output, ref_stats) = _time_reference(
+        run_merge_sort, processor, values)
+    assert output == ref_output == sorted(values)
+    assert ref_stats.cycles == fast_stats.cycles
+    assert fast_stats.stats.metric("cpu.run.fastpath") == 1
+    assert ref_stats.stats.metric("cpu.run.fastpath") == 0
+    speedup = ref_seconds / fast_seconds
+    benchmark.extra_info["eis_sort_fastpath_speedup"] = round(speedup, 2)
+    _write_speedup_summary({"eis_sort": {
+        "benchmark": "simulator_fastpath",
+        "workload": "EIS merge sort",
+        "config": "DBA_2LSU_EIS",
+        "size": len(values),
+        "instructions": fast_stats.instructions,
+        "cycles": fast_stats.cycles,
+        "fast": {"seconds": fast_seconds,
+                 "sim_instructions_per_second":
+                     int(fast_stats.instructions / fast_seconds)},
+        "reference": {"seconds": ref_seconds,
+                      "sim_instructions_per_second":
+                          int(ref_stats.instructions / ref_seconds)},
+        "speedup": round(speedup, 3),
+    }})

@@ -121,16 +121,14 @@ class SetDatapath:
             return
         ptr = ptr_state.value
         block = core.load_block(self.lsu_for_side(side), ptr, LANES)
-        lanes = []
-        valid = 0
-        for i in range(LANES):
-            if ptr + 4 * i < end:
-                lanes.append(block[i])
-                valid += 1
-            else:
-                lanes.append(SENTINEL)
-        load_state.value = lanes
-        cnt_state.value = valid
+        # lane i is real while ptr + 4 * i < end
+        valid = (end - ptr + 3) >> 2
+        if valid >= LANES:
+            load_state.value = block[:LANES]
+            cnt_state.value = LANES
+        else:
+            load_state.value = block[:valid] + [SENTINEL] * (LANES - valid)
+            cnt_state.value = valid
         ptr_state.value = ptr + BLOCK_BYTES
 
     def op_ldp(self, core, side):
@@ -140,23 +138,29 @@ class SetDatapath:
         elements after every SOP; without it, only a fully drained
         window is refilled.
         """
-        word = self.word_a if side == "a" else self.word_b
-        load_state = self.load_a if side == "a" else self.load_b
-        cnt_state = self.load_cnt_a if side == "a" else self.load_cnt_b
-        valid = valid_count(word.value)
+        if side == "a":
+            word, load_state, cnt_state = \
+                self.word_a, self.load_a, self.load_cnt_a
+        else:
+            word, load_state, cnt_state = \
+                self.word_b, self.load_b, self.load_cnt_b
+        staged_count = cnt_state.value
+        if staged_count == 0:
+            return
+        window = word.value
+        valid = valid_count(window)
         if self.partial_load:
             want = LANES - valid
         else:
             want = LANES if valid == 0 else 0
-        if want == 0 or cnt_state.value == 0:
+        if want == 0:
             return
-        take = want if want < cnt_state.value else cnt_state.value
-        taken = load_state.value[:take]
-        load_state.value = load_state.value[take:] + [SENTINEL] * take
-        cnt_state.value -= take
-        lanes = word.value[:valid] + taken
-        lanes += [SENTINEL] * (LANES - len(lanes))
-        word.value = lanes
+        take = want if want < staged_count else staged_count
+        staged = load_state.value
+        load_state.value = staged[take:] + [SENTINEL] * take
+        cnt_state.value = staged_count - take
+        word.value = window[:valid] + staged[:take] \
+            + [SENTINEL] * (LANES - valid - take)
 
     def op_sop(self, core, which):
         """SOP: one all-to-all comparison step (Table 1).
@@ -180,12 +184,11 @@ class SetDatapath:
             return
         if va == 0 and vb == 0:
             return
-        step = SOP_FUNCTIONS[which](wa, wb)
-        if step.output:
-            lanes = list(step.output)
-            self.result_cnt.value = len(lanes)
-            lanes += [SENTINEL] * (LANES - len(lanes))
-            self.result.value = lanes
+        step = SOP_FUNCTIONS[which](wa, wb, va, vb)
+        output = step.output
+        if output:
+            self.result_cnt.value = len(output)
+            self.result.value = output + [SENTINEL] * (LANES - len(output))
         self.word_a.value = wa[step.consumed_a:va] \
             + [SENTINEL] * (LANES - (va - step.consumed_a))
         self.word_b.value = wb[step.consumed_b:vb] \
@@ -195,13 +198,11 @@ class SetDatapath:
         """ST_S: shuffle results into the TmpStore FIFO and Store states."""
         count = self.result_cnt.value
         if count:
-            fifo = self.fifo.value
             fill = self.fifo_cnt.value
-            for i in range(count):
-                fifo[fill + i] = self.result.value[i]
+            self.fifo.value[fill:fill + count] = self.result.value[:count]
             self.fifo_cnt.value = fill + count
             self.result_cnt.value = 0
-            self.result.reset()
+            self.result.value = [SENTINEL] * LANES
         if self.store_cnt.value == 0 and self.fifo_cnt.value >= LANES:
             fifo = self.fifo.value
             self.store.value = fifo[:LANES]
@@ -217,7 +218,7 @@ class SetDatapath:
         core.store_block(core.lsu_for(ptr).index, ptr, self.store.value)
         self.ptr_c.value = ptr + BLOCK_BYTES
         self.count.value += LANES
-        self.store.reset()
+        self.store.value = [SENTINEL] * LANES
         self.store_cnt.value = 0
 
     def op_st_flush(self, core):
@@ -295,7 +296,7 @@ class MergeDatapath:
         """MINIT: latch run bounds, clear the merge pipeline."""
         for state in (self.stage_a, self.stage_b, self.keep, self.next,
                       self.result, self.store):
-            state.reset()
+            state.value = [SENTINEL] * LANES
         for state in (self.stage_a_full, self.stage_b_full, self.keep_full,
                       self.next_full, self.result_full, self.store_full,
                       self.emitted):
@@ -358,9 +359,9 @@ class MergeDatapath:
             source, source_full = self.stage_a, self.stage_a_full
         else:
             source, source_full = self.stage_b, self.stage_b_full
-        target.value = list(source.value)
+        target.value = source.value
         target_full.value = 1
-        source.reset()
+        source.value = [SENTINEL] * LANES
         source_full.value = 0
 
     def op_merge(self, core):
@@ -373,15 +374,15 @@ class MergeDatapath:
         self.result.value = low
         self.result_full.value = 1
         self.keep.value = high
-        self.next.reset()
+        self.next.value = [SENTINEL] * LANES
         self.next_full.value = 0
 
     def op_mst_s(self, core):
         """ST_S of the merge pipeline: Result -> Store."""
         if self.result_full.value and not self.store_full.value:
-            self.store.value = list(self.result.value)
+            self.store.value = self.result.value
             self.store_full.value = 1
-            self.result.reset()
+            self.result.value = [SENTINEL] * LANES
             self.result_full.value = 0
 
     def op_mst(self, core):
@@ -394,7 +395,7 @@ class MergeDatapath:
         core.store_block(core.lsu_for(ptr).index, ptr, self.store.value)
         self.ptr_c.value = ptr + BLOCK_BYTES
         self.emitted.value += 1
-        self.store.reset()
+        self.store.value = [SENTINEL] * LANES
         self.store_full.value = 0
 
     def more_work(self):
@@ -421,7 +422,7 @@ class MergeDatapath:
         ptr = self.ptr_c.value
         core.store_block(core.lsu_for(ptr).index, ptr, self.result.value)
         self.ptr_c.value = ptr + BLOCK_BYTES
-        self.result.reset()
+        self.result.value = [SENTINEL] * LANES
         self.result_full.value = 0
 
     def presort_more(self):

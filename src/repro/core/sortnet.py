@@ -15,11 +15,6 @@ depth the synthesis model charges for:
 from .common import LANES
 
 
-def _cmp_exchange(values, i, j):
-    if values[i] > values[j]:
-        values[i], values[j] = values[j], values[i]
-
-
 #: Compare-exchange schedule of the 4-input Batcher network.
 SORT4_SCHEDULE = ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))
 
@@ -28,15 +23,28 @@ MERGE8_SCHEDULE = ((0, 4), (1, 5), (2, 6), (3, 7),
                    (2, 4), (3, 5),
                    (1, 2), (3, 4), (5, 6))
 
+# The two networks below are SORT4_SCHEDULE and MERGE8_SCHEDULE
+# unrolled onto local variables, one compare-exchange per line: the
+# schedules stay the synthesis model's description, the unrolled form
+# is what every simulated instruction runs.
+
 
 def sort4(values):
     """Sort four values with the 5-comparator Batcher network."""
     if len(values) != LANES:
         raise ValueError("sort4 takes exactly %d values" % LANES)
-    result = list(values)
-    for i, j in SORT4_SCHEDULE:
-        _cmp_exchange(result, i, j)
-    return result
+    v0, v1, v2, v3 = values
+    if v0 > v1:
+        v0, v1 = v1, v0
+    if v2 > v3:
+        v2, v3 = v3, v2
+    if v0 > v2:
+        v0, v2 = v2, v0
+    if v1 > v3:
+        v1, v3 = v3, v1
+    if v1 > v2:
+        v1, v2 = v2, v1
+    return [v0, v1, v2, v3]
 
 
 def merge8(low, high):
@@ -49,10 +57,27 @@ def merge8(low, high):
     """
     if len(low) != LANES or len(high) != LANES:
         raise ValueError("merge8 takes two 4-vectors")
-    result = list(low) + list(high)
-    for i, j in MERGE8_SCHEDULE:
-        _cmp_exchange(result, i, j)
-    return result[:LANES], result[LANES:]
+    v0, v1, v2, v3 = low
+    v4, v5, v6, v7 = high
+    if v0 > v4:
+        v0, v4 = v4, v0
+    if v1 > v5:
+        v1, v5 = v5, v1
+    if v2 > v6:
+        v2, v6 = v6, v2
+    if v3 > v7:
+        v3, v7 = v7, v3
+    if v2 > v4:
+        v2, v4 = v4, v2
+    if v3 > v5:
+        v3, v5 = v5, v3
+    if v1 > v2:
+        v1, v2 = v2, v1
+    if v3 > v4:
+        v3, v4 = v4, v3
+    if v5 > v6:
+        v5, v6 = v6, v5
+    return [v0, v1, v2, v3], [v4, v5, v6, v7]
 
 
 def comparator_count_sort4():
